@@ -206,10 +206,11 @@ class CacheHierarchy
     void resetStats();
     /**
      * Counter-reset split matching the access split above, for
-     * drivers that stage a whole epoch's private work before the
-     * shared replay (System::stepEpochPrivate): the per-core L1/L2
-     * counters reset in the private sub-phase, the shared L3 slices
-     * in the replay, so each side only ever touches its own tier.
+     * drivers whose private work may run a whole epoch ahead of the
+     * shared replay (System::runItemPrivate / runItemShared): the
+     * per-core L1/L2 counters reset in the private sub-phase, the
+     * shared L3 slices in the replay, so each side only ever touches
+     * its own tier.
      */
     // toleo: phase(private)
     void resetStatsPrivate();

@@ -2,12 +2,12 @@
  * @file
  * Persistent intra-System worker pool.
  *
- * The private phase of System::stepRounds runs every core's
- * generator draws and L1/L2 accesses over structures that are
- * disjoint per core, so the per-core bodies can run on worker
- * threads without any observable reordering: the shared phase (L3,
- * topology, protection engine) still replays the exact global order
- * single-threaded afterwards.  This pool is the sanctioned home for
+ * The private half of every System epoch batch (System::stageRounds)
+ * runs every core's generator draws and L1/L2 accesses over
+ * structures that are disjoint per core, so the per-core bodies can
+ * run on worker threads without any observable reordering: the
+ * shared half (L3, topology, protection engine) still replays the
+ * exact global order single-threaded afterwards.  This pool is the sanctioned home for
  * those threads (tools/toleo_lint bans raw std::thread elsewhere --
  * new parallelism must go through a pool that preserves the
  * deterministic-replay structure).

@@ -125,8 +125,8 @@ runRack(const RackConfig &cfg)
         systems[i]->beginRun(cfg.warmupRefs, cfg.measureRefs);
 
     // Node pool for the private epoch halves.  rackThreads == 1 (the
-    // default) takes the historic one-call stepEpoch() path below --
-    // not a pool of one -- so the serial binary is exactly unchanged.
+    // default) calls stepEpoch() below -- not a pool of one -- which
+    // stages one batch at a time instead of a whole epoch per node.
     const unsigned rackThreads =
         std::min(std::max(1u, cfg.rackThreads), n);
     std::unique_ptr<IntraPool> rackPool;

@@ -71,8 +71,9 @@ struct RackConfig
      * access; System::stepEpochPrivate) that the pool runs for all
      * live nodes concurrently, and a shared sub-phase (device/arbiter
      * replay; System::replayEpochShared) that always runs serially in
-     * strict node order.  1 (the default) takes exactly the historic
-     * serial stepEpoch() path; any value yields bit-identical
+     * strict node order.  1 (the default) calls stepEpoch() per node
+     * instead, which runs the same halves item by item and so stages
+     * one batch, not a whole epoch; any value yields bit-identical
      * rackStatsToJson output.  Clamped to the node count.
      */
     unsigned rackThreads = 1;

@@ -180,8 +180,8 @@ System::System(const SystemConfig &cfg)
 
     // Private-phase worker pool.  More threads than cores can never
     // help (the unit of work is one core's batch), and intraThreads
-    // == 1 keeps the historical single-threaded path with no pool,
-    // no staging, and no synchronization at all.
+    // == 1 keeps the single-threaded path with no pool, no footprint
+    // staging, and no synchronization at all.
     const unsigned intra =
         std::min(std::max(cfg.intraThreads, 1u), cfg.numCores);
     if (intra > 1) {
@@ -275,7 +275,7 @@ System::privateCore(unsigned core, std::uint64_t rounds)
         // resident), so recording pages on L1 misses only yields the
         // same footprint set.  Under the pool the insert is staged
         // per core -- footprint_ is the single structure the private
-        // phase would otherwise share -- and merged by stepRounds.
+        // phase would otherwise share -- and merged by stageRounds.
         if (!priv.l1Hit) {
             const PageNum page = pageOf(ref.addr);
             if (stage)
@@ -285,7 +285,7 @@ System::privateCore(unsigned core, std::uint64_t rounds)
                 // intraPool_ is null, i.e. the private phase is
                 // single-threaded, so the direct insert cannot race.
                 // The pooled path stages per core (above) and merges
-                // in stepRounds.
+                // in stageRounds.
                 footprint_.insert(page); // toleo-lint: allow(phase-safety)
         }
         if (priv.needsShared()) {
@@ -321,168 +321,90 @@ System::privateCore(unsigned core, std::uint64_t rounds)
 }
 
 void
-System::stepRounds(std::uint64_t rounds, bool measuring)
-{
-    const unsigned cores = cfg_.numCores;
-    const bool timing = cfg_.phaseTimers;
-    while (rounds > 0) {
-        const std::uint64_t n = std::min(rounds, batchRounds);
-
-        const double t0 = benchNowNs(timing);
-
-        // Private phase: generator draws and each core's own L1/L2.
-        // Per-generator draw order and per-cache operation sequences
-        // are exactly those of the old one-reference-at-a-time loop;
-        // the cores' structures are mutually disjoint, so running
-        // them concurrently (static striping, pure function of core
-        // id and thread count) cannot reorder anything observable.
-        if (intraPool_) {
-            intraPool_->run(cores,
-                            [this, n](unsigned c) { privateCore(c, n); });
-            // Merge the staged footprint inserts serially, in core
-            // order.  The footprint is a set and its final contents
-            // are all that is ever read (size()), so the merge is
-            // bit-identical to inline insertion for any thread count.
-            for (unsigned c = 0; c < cores; ++c) {
-                for (PageNum page : footprintStage_[c])
-                    footprint_.insert(page);
-                footprintStage_[c].clear();
-            }
-        } else {
-            for (unsigned c = 0; c < cores; ++c)
-                privateCore(c, n);
-        }
-
-        const double t1 = benchNowNs(timing);
-
-        // Shared phase, in round-robin global order: L3 slices, the
-        // memory topology, and the protection engine observe the
-        // exact operation sequence of the original loop.  Each
-        // core's queue is already round-ordered, so this is an
-        // n-way merge on the round index.
-        for (std::uint64_t k = 0; k < n; ++k) {
-            for (unsigned c = 0; c < cores; ++c) {
-                const std::uint32_t pos = evPos_[c];
-                if (pos >= evCount_[c])
-                    continue;
-                const SharedEvent &ev = evBuf_[c * batchRounds + pos];
-                if (ev.round != k)
-                    continue;
-                stepShared(c, refBuf_[c * batchRounds + k].addr,
-                           ev.priv);
-                evPos_[c] = pos + 1;
-            }
-            // Requests ending at round k complete here: the round's
-            // shared work has been replayed, so each boundary core's
-            // stall clock is final for this point in time.
-            if (serving_)
-                finalizeServingRound(k, measuring);
-        }
-
-        if (timing) {
-            phases_.privateNs += t1 - t0;
-            phases_.sharedNs += benchNowNs(true) - t1;
-        }
-        rounds -= n;
-    }
-}
-
-void
 System::stageRounds(std::uint64_t rounds, bool measuring)
 {
     const unsigned cores = cfg_.numCores;
-    const bool timing = cfg_.phaseTimers;
-    while (rounds > 0) {
-        const std::uint64_t n = std::min(rounds, batchRounds);
+    const double t0 = benchNowNs(cfg_.phaseTimers);
 
-        const double t0 = benchNowNs(timing);
-
-        // Same private phase as stepRounds: draws, L1/L2, per-core
-        // event queues, footprint and serving-boundary staging.
-        if (intraPool_) {
-            intraPool_->run(cores,
-                            [this, n](unsigned c) { privateCore(c, n); });
-            for (unsigned c = 0; c < cores; ++c) {
-                for (PageNum page : footprintStage_[c])
-                    // Node-local serialization: footprint_ belongs to
-                    // this System alone and the rack pool runs one
-                    // thread per System, so this merge -- like the
-                    // direct insert in privateCore -- cannot race
-                    // across nodes; it is the same merge stepRounds
-                    // performs, at the same point in the batch.
-                    footprint_.insert(page); // toleo-lint: allow(phase-safety)
-                footprintStage_[c].clear();
-            }
-        } else {
-            for (unsigned c = 0; c < cores; ++c)
-                privateCore(c, n);
+    // Private phase: generator draws and each core's own L1/L2.
+    // Per-generator draw order and per-cache operation sequences
+    // are exactly those of a one-reference-at-a-time loop; the
+    // cores' structures are mutually disjoint, so running them
+    // concurrently (static striping, pure function of core id and
+    // thread count) cannot reorder anything observable.
+    if (intraPool_) {
+        intraPool_->run(cores, [this, rounds](unsigned c) {
+            privateCore(c, rounds);
+        });
+        // Merge the staged footprint inserts serially, in core
+        // order.  The footprint is a set and its final contents are
+        // all that is ever read (size()), so the merge is
+        // bit-identical to inline insertion for any thread count.
+        for (unsigned c = 0; c < cores; ++c) {
+            for (PageNum page : footprintStage_[c])
+                // Node-local serialization: footprint_ belongs to
+                // this System alone and the rack pool runs one
+                // thread per System, so this merge -- like the
+                // direct insert in privateCore -- cannot race
+                // across nodes.
+                footprint_.insert(page); // toleo-lint: allow(phase-safety)
+            footprintStage_[c].clear();
         }
+    } else {
+        for (unsigned c = 0; c < cores; ++c)
+            privateCore(c, rounds);
+    }
 
-        // Flatten this batch's per-core queues into the staged epoch
-        // log -- the identical (round, core) n-way merge stepRounds
-        // replays, minus the stepShared calls.  Rounds are renumbered
-        // globally across the epoch so the replay is one linear scan.
-        for (std::uint64_t k = 0; k < n; ++k) {
+    // Flatten the per-core queues into the staged log in round-robin
+    // global order: every round's shared work (L3 slices, memory
+    // topology, protection engine) in core order, so the replay
+    // feeds each shared structure the exact operation sequence of
+    // the one-reference-at-a-time loop.  Each core's queue is
+    // already round-ordered, so this is an n-way merge on the round
+    // index.  Rounds are numbered globally across the staged batches
+    // so a replay of several items is one linear scan.
+    for (std::uint64_t k = 0; k < rounds; ++k) {
+        for (unsigned c = 0; c < cores; ++c) {
+            const std::uint32_t pos = evPos_[c];
+            if (pos >= evCount_[c])
+                continue;
+            const SharedEvent &ev = evBuf_[c * batchRounds + pos];
+            if (ev.round != k)
+                continue;
+            stagedEvents_.push_back(
+                {stageRoundBase_ + k, c,
+                 refBuf_[c * batchRounds + k].addr, ev.priv});
+            evPos_[c] = pos + 1;
+        }
+        if (serving_ && measuring) {
+            // Warmup boundaries are not staged: warmup requests are
+            // ignored, so the replay stream carries only live
+            // completions.
             for (unsigned c = 0; c < cores; ++c) {
-                const std::uint32_t pos = evPos_[c];
-                if (pos >= evCount_[c])
-                    continue;
-                const SharedEvent &ev = evBuf_[c * batchRounds + pos];
-                if (ev.round != k)
-                    continue;
-                stagedEvents_.push_back(
-                    {stageRoundBase_ + k, c,
-                     refBuf_[c * batchRounds + k].addr, ev.priv});
-                evPos_[c] = pos + 1;
-            }
-            if (serving_ && measuring) {
-                // Warmup boundaries are not staged: completeRequest
-                // ignores them (measuring snapshot false), so the
-                // replay stream carries only live completions.
-                for (unsigned c = 0; c < cores; ++c) {
-                    auto &sv = servCores_[c];
-                    while (sv.pos < sv.boundaries.size() &&
-                           sv.boundaries[sv.pos].round == k) {
-                        stagedBoundaries_.push_back(
-                            {stageRoundBase_ + k, c,
-                             sv.boundaries[sv.pos].insts});
-                        ++sv.pos;
-                    }
+                auto &sv = servCores_[c];
+                while (sv.pos < sv.boundaries.size() &&
+                       sv.boundaries[sv.pos].round == k) {
+                    stagedBoundaries_.push_back(
+                        {stageRoundBase_ + k, c,
+                         sv.boundaries[sv.pos].insts});
+                    ++sv.pos;
                 }
             }
         }
-        stageRoundBase_ += n;
-
-        if (timing)
-            phases_.privateNs += benchNowNs(true) - t0;
-        rounds -= n;
     }
+    stageRoundBase_ += rounds;
+
+    if (cfg_.phaseTimers)
+        phases_.privateNs += benchNowNs(true) - t0;
 }
 
 void
-System::finalizeServingRound(std::uint64_t k, bool measuring)
+System::completeRequest(unsigned core, std::uint64_t instsAtDone)
 {
-    for (unsigned c = 0; c < cfg_.numCores; ++c) {
-        auto &sv = servCores_[c];
-        while (sv.pos < sv.boundaries.size() &&
-               sv.boundaries[sv.pos].round == k) {
-            completeRequest(c, sv.boundaries[sv.pos].insts, measuring);
-            ++sv.pos;
-        }
-    }
-}
-
-void
-System::completeRequest(unsigned core, std::uint64_t instsAtDone,
-                        bool measuring)
-{
-    // Warmup requests are ignored; the first boundary after the stats
-    // reset only primes the service-time mark (the request it closes
-    // spans the reset, so its duration is not a full request's).
-    // The flag is the planner's per-chunk snapshot of runMeasuring_,
-    // which planEpoch advances before any chunk executes.
-    if (!measuring)
-        return;
+    // Only measured boundaries reach here (stageRounds drops warmup
+    // ones); the first after the stats reset only primes the
+    // service-time mark (the request it closes spans the reset, so
+    // its duration is not a full request's).
     auto &sv = servCores_[core];
     const double now = static_cast<double>(instsAtDone) /
                            (cfg_.baseIpc * cfg_.clockGhz) +
@@ -530,19 +452,12 @@ System::resetServing()
 }
 
 void
-System::resetMeasurement()
-{
-    resetMeasurementPrivate();
-    resetMeasurementShared();
-}
-
-void
 System::resetMeasurementPrivate()
 {
     // Per-core half only: the instruction clocks feed the private
-    // phase's serving-boundary staging, so the staged path must zero
-    // them at the reset's position in the *private* pass.  Everything
-    // the shared replay owns resets in resetMeasurementShared().
+    // phase's serving-boundary staging, so they must be zeroed at the
+    // reset's position in the *private* pass.  Everything the shared
+    // replay owns resets in resetMeasurementShared().
     hierarchy_.resetStatsPrivate();
     std::fill(coreInsts_.begin(), coreInsts_.end(), 0);
 }
@@ -602,9 +517,9 @@ System::epochBoundary()
 }
 
 // Rounds (one reference per core) until the next epoch boundary
-// fires.  Every round adds numCores references, so the per-round
-// epoch re-check of the old loop reduces to a ceiling division,
-// letting stepRounds() run a check-free inner loop.
+// fires.  Every round adds numCores references, so a per-round epoch
+// check reduces to a ceiling division, letting stageRounds() run a
+// check-free inner loop.
 std::uint64_t
 System::roundsToEpoch() const
 {
@@ -655,7 +570,8 @@ System::planEpoch()
             break;
         }
         const std::uint64_t chunk = std::min(
-            runWarmupRefs_ - runPhaseRefs_, roundsToEpoch());
+            {runWarmupRefs_ - runPhaseRefs_, roundsToEpoch(),
+             batchRounds});
         plan_.push_back({EpochPlanItem::Kind::Run, false, chunk});
         runGlobalRefs_ += chunk * cfg_.numCores;
         runPhaseRefs_ += chunk;
@@ -666,12 +582,14 @@ System::planEpoch()
         }
     }
 
-    // Measurement phase: batches run until the earlier of the next
-    // epoch boundary and the next timeline-sample round, so neither
-    // condition is tested inside the per-reference loop.
+    // Measurement phase: batches run until the earliest of the next
+    // epoch boundary, the next timeline-sample round, and one full
+    // batch, so neither condition is tested inside the per-reference
+    // loop.
     while (runPhaseRefs_ < runMeasureRefs_) {
-        std::uint64_t chunk = std::min(
-            runMeasureRefs_ - runPhaseRefs_, roundsToEpoch());
+        std::uint64_t chunk =
+            std::min({runMeasureRefs_ - runPhaseRefs_, roundsToEpoch(),
+                      batchRounds});
         bool sample_due = false;
         if (devp_) {
             // Next round index ending in a timeline sample.
@@ -693,17 +611,16 @@ System::planEpoch()
             runEpochMark_ = runGlobalRefs_;
             fired = true;
         }
-        // Order matters and matches the historical loop: a sample
-        // due on a boundary round records *after* the boundary.
+        // Order matters: a sample due on a boundary round records
+        // *after* the boundary.
         if (sample_due)
             plan_.push_back({EpochPlanItem::Kind::Sample, false, 0});
         if (fired)
             return true;
     }
 
-    // Window exhausted: close the final (possibly partial) epoch --
-    // the same unconditional boundary the monolithic run() ended
-    // with -- and report completion.
+    // Window exhausted: close the final (possibly partial) epoch and
+    // report completion.
     plan_.push_back({EpochPlanItem::Kind::Boundary, false, 0});
     runActive_ = false;
     return false;
@@ -720,6 +637,94 @@ System::recordTimelineSample(std::uint64_t insts,
     runStats_.usageTimeline.emplace_back(insts, usage);
 }
 
+void
+System::clearStaged()
+{
+    stagedEvents_.clear();
+    stagedBoundaries_.clear();
+    stagedSamples_.clear();
+    stageRoundBase_ = 0;
+    replay_ = ReplayCursor{};
+}
+
+void
+System::runItemPrivate(const EpochPlanItem &item)
+{
+    switch (item.kind) {
+      case EpochPlanItem::Kind::Run:
+        stageRounds(item.rounds, item.measuring);
+        break;
+      case EpochPlanItem::Kind::Reset:
+        resetMeasurementPrivate();
+        break;
+      case EpochPlanItem::Kind::Boundary:
+        // Entirely shared work.
+        break;
+      case EpochPlanItem::Kind::Sample: {
+        // Capture the private-side observables now; the shared half
+        // pairs them with the store's live dynamicBytes().
+        std::uint64_t insts = 0;
+        for (unsigned c = 0; c < cfg_.numCores; ++c)
+            insts += coreInsts_[c];
+        stagedSamples_.push_back({insts, footprint_.size()});
+        break;
+      }
+    }
+}
+
+void
+System::runItemShared(const EpochPlanItem &item)
+{
+    switch (item.kind) {
+      case EpochPlanItem::Kind::Run: {
+        const double t0 = benchNowNs(cfg_.phaseTimers);
+        // Linear scan over this item's slice of the staged logs.
+        // Both are (round, core)-ordered; within a round every shared
+        // event replays before any completion, so each boundary
+        // core's stall clock is final for that point in time.
+        const std::uint64_t end = replay_.round + item.rounds;
+        std::size_t ev = replay_.event;
+        std::size_t bd = replay_.boundary;
+        while (true) {
+            const bool haveEv = ev < stagedEvents_.size() &&
+                                stagedEvents_[ev].round < end;
+            const bool haveBd = bd < stagedBoundaries_.size() &&
+                                stagedBoundaries_[bd].round < end;
+            if (!haveEv && !haveBd)
+                break;
+            if (haveEv && (!haveBd || stagedEvents_[ev].round <=
+                                          stagedBoundaries_[bd].round)) {
+                const StagedSharedEvent &e = stagedEvents_[ev];
+                stepShared(e.core, e.addr, e.priv);
+                ++ev;
+            } else {
+                const StagedRequestBoundary &b = stagedBoundaries_[bd];
+                completeRequest(b.core, b.insts);
+                ++bd;
+            }
+        }
+        replay_.round = end;
+        replay_.event = ev;
+        replay_.boundary = bd;
+        if (cfg_.phaseTimers)
+            phases_.sharedNs += benchNowNs(true) - t0;
+        break;
+      }
+      case EpochPlanItem::Kind::Reset:
+        resetMeasurementShared();
+        runLastEpochNs_ = 0.0;
+        break;
+      case EpochPlanItem::Kind::Boundary:
+        epochBoundary();
+        break;
+      case EpochPlanItem::Kind::Sample: {
+        const StagedSample &s = stagedSamples_[replay_.sample++];
+        recordTimelineSample(s.insts, s.footprintPages);
+        break;
+      }
+    }
+}
+
 bool
 System::stepEpoch()
 {
@@ -730,27 +735,13 @@ System::stepEpoch()
             "System::stepEpoch: a staged epoch awaits "
             "replayEpochShared()");
 
+    // Each item's shared half right after its private half: the
+    // staged log never holds more than one batch.
     const bool more = planEpoch();
     for (const EpochPlanItem &item : plan_) {
-        switch (item.kind) {
-          case EpochPlanItem::Kind::Run:
-            stepRounds(item.rounds, item.measuring);
-            break;
-          case EpochPlanItem::Kind::Reset:
-            resetMeasurement();
-            runLastEpochNs_ = 0.0;
-            break;
-          case EpochPlanItem::Kind::Boundary:
-            epochBoundary();
-            break;
-          case EpochPlanItem::Kind::Sample: {
-            std::uint64_t insts = 0;
-            for (unsigned c = 0; c < cfg_.numCores; ++c)
-                insts += coreInsts_[c];
-            recordTimelineSample(insts, footprint_.size());
-            break;
-          }
-        }
+        clearStaged();
+        runItemPrivate(item);
+        runItemShared(item);
     }
     return more;
 }
@@ -766,33 +757,9 @@ System::stepEpochPrivate()
             "replayEpochShared()");
 
     const bool more = planEpoch();
-    stagedEvents_.clear();
-    stagedBoundaries_.clear();
-    stagedSamples_.clear();
-    stageRoundBase_ = 0;
-    for (const EpochPlanItem &item : plan_) {
-        switch (item.kind) {
-          case EpochPlanItem::Kind::Run:
-            stageRounds(item.rounds, item.measuring);
-            break;
-          case EpochPlanItem::Kind::Reset:
-            resetMeasurementPrivate();
-            break;
-          case EpochPlanItem::Kind::Boundary:
-            // Entirely shared work; replayed in order.
-            break;
-          case EpochPlanItem::Kind::Sample: {
-            // Capture the private-side observables now; the replay
-            // pairs them with the shared store's live dynamicBytes()
-            // at exactly the serial path's device state.
-            std::uint64_t insts = 0;
-            for (unsigned c = 0; c < cfg_.numCores; ++c)
-                insts += coreInsts_[c];
-            stagedSamples_.push_back({insts, footprint_.size()});
-            break;
-          }
-        }
-    }
+    clearStaged();
+    for (const EpochPlanItem &item : plan_)
+        runItemPrivate(item);
     pendingReplay_ = true;
     return more;
 }
@@ -805,61 +772,8 @@ System::replayEpochShared()
             "System::replayEpochShared: no staged epoch (call "
             "stepEpochPrivate first)");
     pendingReplay_ = false;
-
-    const bool timing = cfg_.phaseTimers;
-    std::size_t ev = 0;
-    std::size_t bd = 0;
-    std::size_t sample = 0;
-    std::uint64_t roundBase = 0;
-    for (const EpochPlanItem &item : plan_) {
-        switch (item.kind) {
-          case EpochPlanItem::Kind::Run: {
-            const double t0 = benchNowNs(timing);
-            // Linear scan over this chunk's slice of the staged
-            // logs.  Both are (round, core)-ordered; within a round
-            // every shared event replays before any completion, so
-            // the merge reproduces stepRounds' exact sequence.
-            const std::uint64_t end = roundBase + item.rounds;
-            while (true) {
-                const bool haveEv = ev < stagedEvents_.size() &&
-                                    stagedEvents_[ev].round < end;
-                const bool haveBd =
-                    bd < stagedBoundaries_.size() &&
-                    stagedBoundaries_[bd].round < end;
-                if (!haveEv && !haveBd)
-                    break;
-                if (haveEv &&
-                    (!haveBd || stagedEvents_[ev].round <=
-                                    stagedBoundaries_[bd].round)) {
-                    const StagedSharedEvent &e = stagedEvents_[ev];
-                    stepShared(e.core, e.addr, e.priv);
-                    ++ev;
-                } else {
-                    const StagedRequestBoundary &b =
-                        stagedBoundaries_[bd];
-                    completeRequest(b.core, b.insts, true);
-                    ++bd;
-                }
-            }
-            roundBase = end;
-            if (timing)
-                phases_.sharedNs += benchNowNs(true) - t0;
-            break;
-          }
-          case EpochPlanItem::Kind::Reset:
-            resetMeasurementShared();
-            runLastEpochNs_ = 0.0;
-            break;
-          case EpochPlanItem::Kind::Boundary:
-            epochBoundary();
-            break;
-          case EpochPlanItem::Kind::Sample: {
-            const StagedSample &s = stagedSamples_[sample++];
-            recordTimelineSample(s.insts, s.footprintPages);
-            break;
-          }
-        }
-    }
+    for (const EpochPlanItem &item : plan_)
+        runItemShared(item);
 }
 
 SimStats

@@ -103,11 +103,11 @@ struct SystemConfig
     /** Record every core's generated stream to this trace file. */
     std::string recordTracePath;
     /**
-     * Worker threads for the core-private phase of stepRounds (the
-     * calling thread counts, so 1 = today's single-threaded run).
-     * Any value produces bit-identical statistics: the per-core
-     * private bodies touch disjoint state, and the shared phase
-     * replays the exact global order single-threaded either way.
+     * Worker threads for the core-private phase of each epoch batch
+     * (the calling thread counts, so 1 = single-threaded).  Any
+     * value produces bit-identical statistics: the per-core private
+     * bodies touch disjoint state, and the shared phase replays the
+     * exact global order single-threaded either way.
      * Clamped to numCores; composes with cross-cell sweep jobs (the
      * drivers budget jobs x intraThreads against the host).
      */
@@ -296,31 +296,32 @@ class System
      *
      * and a driver may interleave several Systems by calling their
      * stepEpoch()s round-robin (see sim/rack.hh, which arbitrates
-     * the shared Toleo device at each epoch barrier).  The
-     * decomposition performs the identical operation sequence to the
-     * historical monolithic run(), so fixed-seed statsToJson output
-     * is bit-identical either way (pinned by tests/test_rack.cc).
+     * the shared Toleo device at each epoch barrier).
      */
     void beginRun(std::uint64_t warmup_refs,
                   std::uint64_t measure_refs);
     /**
      * Advance until the next traffic-epoch boundary has been closed
      * (or the measurement window is exhausted, which closes the
-     * final boundary).  @return true while more work remains.
+     * final boundary).  Runs each planned item's private half and
+     * then its shared half, so the staged log never holds more than
+     * one batch.  @return true while more work remains.
      */
     bool stepEpoch();
     /** Collect the report; call once after stepEpoch() returns false. */
     SimStats finishRun();
 
     /**
-     * Rack-parallel split of stepEpoch().  stepEpochPrivate() runs
-     * the core-private half of exactly one stepEpoch() call --
-     * generator draws, L1/L2 accesses, footprint and serving-boundary
-     * staging -- and stages the shared half (L3/topology/engine/
-     * device events, the measurement reset, the epoch boundary, and
-     * timeline samples) as an ordered log.  replayEpochShared() then
-     * replays that log single-threaded, touching the shared device in
-     * exactly the order the monolithic stepEpoch() would have.
+     * Rack-parallel split of stepEpoch(): the same per-item private
+     * and shared halves, run in a different order.
+     * stepEpochPrivate() runs the private half of every item of one
+     * epoch -- generator draws, L1/L2 accesses, footprint and
+     * serving-boundary staging -- and stages the shared work
+     * (L3/topology/engine/device events, the measurement reset, the
+     * epoch boundary, and timeline samples) as an ordered log.
+     * replayEpochShared() then runs every item's shared half over
+     * that log single-threaded, touching the shared device in the
+     * same order stepEpoch() does.
      *
      *   stepEpochPrivate(); replayEpochShared();
      *
@@ -330,7 +331,9 @@ class System
      * replays in strict node order (sim/rack.cc).  The private half
      * touches no state(shared) structure other than this node's own
      * footprint set (node-local; see the allow() grants), so the
-     * phase-safety lint proves the decomposition statically.
+     * phase-safety lint proves the decomposition statically.  The
+     * staged log holds a whole epoch, so a serial driver should call
+     * stepEpoch() instead.
      *
      * @return true while more work remains (same as stepEpoch()).
      * Each stepEpochPrivate() must be followed by exactly one
@@ -416,7 +419,7 @@ class System
     // toleo: state(shared)
     ReadLatencyStats readLat_;
 
-    /** Per-core reference batches for stepRounds (generation phase
+    /** Per-core reference batches for stageRounds (generation phase
      *  and simulation phase run over this, not through per-ref
      *  virtual calls). */
     // toleo: state(per-core)
@@ -449,10 +452,10 @@ class System
     /**
      * Per-core staging for footprint_ inserts: the one shared touch
      * in the private loop.  Each core appends its pages here (its own
-     * vector, no sharing), and stepRounds merges them into footprint_
-     * serially in core order -- set insertion is order-insensitive,
-     * so the merged footprint is identical to the historical inline
-     * inserts for any thread count.
+     * vector, no sharing), and stageRounds merges them into
+     * footprint_ serially in core order -- set insertion is
+     * order-insensitive, so the merged footprint is identical to
+     * inline inserts for any thread count.
      */
     // toleo: state(per-core)
     std::vector<std::vector<PageNum>> footprintStage_;
@@ -527,31 +530,32 @@ class System
     std::uint64_t epochsCompleted_ = 0;
 
     /**
-     * One stepEpoch() call, planned ahead of execution.  The epoch
-     * control flow (chunk sizing, the warmup->measure transition,
+     * One unit of epoch execution, planned ahead.  The epoch control
+     * flow (batch sizing, the warmup->measure transition,
      * epoch-boundary detection, timeline-sample scheduling) depends
      * only on the run-driver counters below -- never on simulated
      * state -- so planEpoch() advances those counters and emits the
-     * ordered item list both execution paths consume: stepEpoch()
-     * executes each item directly, and the staged path runs the
-     * items' private halves (stepEpochPrivate) before replaying
-     * their shared halves (replayEpochShared).
+     * ordered item list.  Every item has a private half
+     * (runItemPrivate) and a shared half (runItemShared); stepEpoch()
+     * runs them item by item, the staged path runs all private
+     * halves (stepEpochPrivate) before all shared halves
+     * (replayEpochShared).
      */
     struct EpochPlanItem
     {
         enum class Kind : std::uint8_t
         {
-            Run,      ///< stepRounds(rounds) / stageRounds(rounds)
+            Run,      ///< one batch: stageRounds(rounds) + its replay
             Reset,    ///< measurement reset (warmup -> measure)
             Boundary, ///< epochBoundary()
             Sample,   ///< record one usage-timeline point
         };
         Kind kind = Kind::Run;
-        /** Run only: was the run measuring during this chunk?  The
+        /** Run only: was the run measuring during this batch?  The
          *  planner pre-advances runMeasuring_, so executors must use
          *  this snapshot, not the live flag. */
         bool measuring = false;
-        /** Run only: rounds in the chunk. */
+        /** Run only: rounds in the batch, at most batchRounds. */
         std::uint64_t rounds = 0;
     };
     /** Plan the next epoch into plan_; @return stepEpoch()'s value. */
@@ -560,10 +564,9 @@ class System
     /** A staged epoch is awaiting replayEpochShared(). */
     bool pendingReplay_ = false;
 
-    /** One flattened shared-phase event of a staged epoch: the
-     *  (round, core)-ordered stream replayEpochShared() feeds to
-     *  stepShared, round-numbered globally across the epoch's
-     *  batches. */
+    /** One flattened shared-phase event: the (round, core)-ordered
+     *  stream runItemShared() feeds to stepShared, round-numbered
+     *  globally across the staged batches. */
     struct StagedSharedEvent
     {
         std::uint64_t round;
@@ -579,8 +582,8 @@ class System
         std::uint64_t insts;
     };
     /** Stage-time half of one timeline sample; the device-side
-     *  dynamicBytes() is read at replay time, when the shared store
-     *  is in exactly the serial path's state. */
+     *  dynamicBytes() is read by the shared half, when the shared
+     *  store has seen every earlier item's shared work. */
     struct StagedSample
     {
         std::uint64_t insts;
@@ -589,74 +592,69 @@ class System
     std::vector<StagedSharedEvent> stagedEvents_;
     std::vector<StagedRequestBoundary> stagedBoundaries_;
     std::vector<StagedSample> stagedSamples_;
-    /** Global round counter across one staged epoch's batches. */
+    /** Global round counter across the staged batches. */
     std::uint64_t stageRoundBase_ = 0;
+    /** Where the next shared half reads the staged logs. */
+    struct ReplayCursor
+    {
+        std::size_t event = 0;
+        std::size_t boundary = 0;
+        std::size_t sample = 0;
+        std::uint64_t round = 0; ///< first round of the next Run item
+    };
+    ReplayCursor replay_;
+    /** Empty the staged logs and rewind both cursors. */
+    void clearStaged();
+    /** Private half of one item: stage its shared work. */
+    // toleo: phase(private)
+    void runItemPrivate(const EpochPlanItem &item);
+    /** Shared half of one item, read from the staged logs. */
+    // toleo: phase(shared)
+    void runItemShared(const EpochPlanItem &item);
 
     /** Shared-state part of one reference: L3, memory, engine. */
     // toleo: phase(shared)
     void stepShared(unsigned core, Addr addr,
                     const PrivateAccessResult &priv);
     /**
-     * Run @p rounds rounds of one reference per core.  Each
-     * sub-batch runs the core-private work (generator draws and
-     * L1/L2) per core in a batch, then replays the shared work (L3,
-     * memory system, protection engine) in the round-robin global
-     * order of the original one-reference-at-a-time loop, so every
-     * structure sees the exact operation sequence it always did.
-     * The caller sizes @p rounds so no epoch boundary or timeline
-     * sample falls inside a batch.  @p measuring is the planner's
-     * snapshot of the measurement flag for this chunk.
-     */
-    void stepRounds(std::uint64_t rounds, bool measuring);
-    /**
-     * Private half of stepRounds for the staged path: the same
-     * per-core private batches, but instead of replaying the shared
-     * work it flattens the per-core event queues (and, when
-     * measuring, the staged request boundaries) into the
-     * (round, core)-ordered logs above.
+     * Run one batch of @p rounds (<= batchRounds) rounds of one
+     * reference per core: the core-private work (generator draws and
+     * L1/L2) per core, then flatten the per-core event queues (and,
+     * when measuring, the request boundaries) into the
+     * (round, core)-ordered logs above, in the round-robin global
+     * order of a one-reference-at-a-time loop.  The planner sizes
+     * @p rounds so no epoch boundary or timeline sample falls inside
+     * a batch.  @p measuring is its snapshot of the measurement flag.
      */
     // toleo: phase(private)
     void stageRounds(std::uint64_t rounds, bool measuring);
     /**
-     * Core-private body of one stepRounds sub-batch for one core:
-     * generator draw, L1/L2 accesses, shared-event queueing, and
-     * footprint staging.  Touches only core-indexed state, so
-     * stepRounds may run it for different cores concurrently.
+     * Core-private body of one batch for one core: generator draw,
+     * L1/L2 accesses, shared-event queueing, and footprint staging.
+     * Touches only core-indexed state, so stageRounds may run it for
+     * different cores concurrently.
      */
     // toleo: phase(private)
     void privateCore(unsigned core, std::uint64_t rounds);
     double coreTimeNs(unsigned core) const;
     double maxCoreTimeNs() const;
-    /**
-     * Complete every request boundary staged for round @p k: the
-     * shared work of the round has been replayed, so the boundary
-     * core's stall clock is final for that point in time.
-     */
+    /** Lindley-recursion completion of one measured request on
+     *  @p core. */
     // toleo: phase(shared)
-    void finalizeServingRound(std::uint64_t k, bool measuring);
-    /**
-     * Lindley-recursion completion of one request on @p core.
-     * @p measuring is the planner's snapshot: warmup boundaries are
-     * ignored (the staged path never even stages them).
-     */
-    // toleo: phase(shared)
-    void completeRequest(unsigned core, std::uint64_t instsAtDone,
-                         bool measuring);
+    void completeRequest(unsigned core, std::uint64_t instsAtDone);
     /** Zero the serving accumulators and per-core overlay state. */
     void resetServing();
-    void resetMeasurement();
-    /** Measurement-reset split for the staged epoch path: the
-     *  per-core half (L1/L2 counters, instruction clocks) applies at
-     *  its position in the private pass, the shared half (L3,
-     *  topology, engine, serving accumulators, stall clocks) at the
-     *  matching position in the replay. */
+    /** The measurement reset, split like every plan item: the
+     *  per-core half (L1/L2 counters, instruction clocks) runs in
+     *  the private pass, the shared half (L3, topology, engine,
+     *  serving accumulators, stall clocks) in the replay. */
     // toleo: phase(private)
     void resetMeasurementPrivate();
     // toleo: phase(shared)
     void resetMeasurementShared();
     /** Append one usage-timeline point (Fig 12); reads the shared
-     *  store's dynamic bytes live, so the staged path calls it at
-     *  replay position with stage-captured insts/footprint. */
+     *  store's dynamic bytes live, so the shared half calls it with
+     *  stage-captured insts/footprint. */
     // toleo: phase(shared)
     void recordTimelineSample(std::uint64_t insts,
                               std::uint64_t footprintPages);

@@ -1,10 +1,11 @@
 /**
  * @file
  * Regression harness for the multi-node rack simulation
- * (sim/rack.hh): the golden-stats fixture pinning a fixed-seed
- * 4-node cell byte-for-byte, the 1-node bit-identity invariant
- * against a plain System::run, the epoch-steppable run API, and the
- * error paths that keep a rack config honest.
+ * (sim/rack.hh): the golden-stats fixtures pinning a fixed-seed
+ * 4-node cell byte-for-byte (closed and open-loop), the 1-node
+ * bit-identity invariant against a plain System::run, the
+ * epoch-steppable run API, and the error paths that keep a rack
+ * config honest.
  */
 
 #include <atomic>
@@ -144,14 +145,16 @@ TEST(Rack, FourNodeContentionIsVisibleAndCharged)
     EXPECT_GT(rack.deviceGrantedBytes, solo.deviceGrantedBytes);
 }
 
-TEST(Rack, StagedEpochHalvesMatchMonolithicStep)
+TEST(Rack, StagedEpochHalvesMatchInterleavedStep)
 {
-    // The tentpole decomposition at System level: for every epoch,
-    // stepEpochPrivate() + replayEpochShared() must be bit-identical
-    // to one stepEpoch() -- same return values, same epoch count,
-    // same final stats.  Covered for a version-heavy Toleo node and
-    // an open-loop serving node (the staged request boundaries are
-    // the subtle part).
+    // Both orders of the same per-item executors must agree: for
+    // every epoch, stepEpochPrivate() + replayEpochShared() (all
+    // private halves, then all shared halves -- the order the rack
+    // pool relies on) must be bit-identical to one stepEpoch() (each
+    // item's halves back to back) -- same return values, same epoch
+    // count, same final stats.  Covered for a version-heavy Toleo
+    // node and an open-loop serving node (the staged request
+    // boundaries are the subtle part).
     for (const bool serving : {false, true}) {
         SystemConfig cfg =
             makeScaledConfig("memcached", EngineKind::Toleo, 2);
@@ -162,21 +165,23 @@ TEST(Rack, StagedEpochHalvesMatchMonolithicStep)
                 parseArrivalSpec("burst:1e6,2", cfg.arrival, err));
         }
 
-        System mono(cfg);
-        mono.beginRun(2000, 6000);
+        System interleaved(cfg);
+        interleaved.beginRun(2000, 6000);
         System staged(cfg);
         staged.beginRun(2000, 6000);
 
-        bool moreMono = true, moreStaged = true;
-        while (moreMono) {
-            moreMono = mono.stepEpoch();
+        bool moreInterleaved = true, moreStaged = true;
+        while (moreInterleaved) {
+            moreInterleaved = interleaved.stepEpoch();
             moreStaged = staged.stepEpochPrivate();
             staged.replayEpochShared();
-            ASSERT_EQ(moreMono, moreStaged) << "serving=" << serving;
-            ASSERT_EQ(mono.epochsCompleted(),
+            ASSERT_EQ(moreInterleaved, moreStaged)
+                << "serving=" << serving;
+            ASSERT_EQ(interleaved.epochsCompleted(),
                       staged.epochsCompleted());
         }
-        EXPECT_EQ(dump(mono.finishRun()), dump(staged.finishRun()))
+        EXPECT_EQ(dump(interleaved.finishRun()),
+                  dump(staged.finishRun()))
             << "serving=" << serving;
     }
 }
@@ -404,37 +409,51 @@ TEST(Rack, CsvRowsMatchHeaderAndDenormalizeRackScalars)
 TEST(RackGolden, FourNodeFixedSeedStatsArePinned)
 {
     // The full RackStats record of the fixed-seed 4-node cell,
-    // byte-for-byte.  Any drift in the hot loop, the arbiter, the
-    // shared store, or the serializers shows up here first.  After
-    // an *intended* change, regenerate with
+    // byte-for-byte, closed-loop and under a bursty open-loop
+    // arrival (whose request-boundary merge rides the epoch replay).
+    // Any drift in the hot loop, the arbiter, the shared store, the
+    // serving overlay, or the serializers shows up here first.
+    // After an *intended* change, regenerate with
     //
     //   TOLEO_UPDATE_GOLDEN=1 ./tests/test_rack
     //       --gtest_filter=RackGolden.*
     //
-    // and commit the refreshed tests/data/golden_rack4.json.
-    const RackStats stats =
-        runRackSweepCell(goldenCell, rackWindow(4));
-    const std::string got = rackStatsToJson(stats).dump(2) + "\n";
+    // and commit the refreshed tests/data/golden_rack4*.json.
+    struct Input
+    {
+        const char *arrival;
+        const char *golden;
+    };
+    for (const Input &input :
+         {Input{"closed", TOLEO_RACK_GOLDEN},
+          Input{"burst:1e6,2", TOLEO_RACK_BURST_GOLDEN}}) {
+        SweepOptions opts = rackWindow(4);
+        std::string err;
+        ASSERT_TRUE(parseArrivalSpec(input.arrival, opts.arrival, err))
+            << err;
+        const RackStats stats = runRackSweepCell(goldenCell, opts);
+        const std::string got = rackStatsToJson(stats).dump(2) + "\n";
 
-    // Golden-regeneration entry point, never read during a normal
-    // test run.  toleo-lint: allow(nondeterminism)
-    if (const char *update = std::getenv("TOLEO_UPDATE_GOLDEN");
-        update && *update) {
-        std::ofstream out(TOLEO_RACK_GOLDEN,
-                          std::ios::binary | std::ios::trunc);
-        out << got;
-        ASSERT_TRUE(out.good())
-            << "cannot write " << TOLEO_RACK_GOLDEN;
+        // Golden-regeneration entry point, never read during a normal
+        // test run.  toleo-lint: allow(nondeterminism)
+        if (const char *update = std::getenv("TOLEO_UPDATE_GOLDEN");
+            update && *update) {
+            std::ofstream out(input.golden,
+                              std::ios::binary | std::ios::trunc);
+            out << got;
+            ASSERT_TRUE(out.good()) << "cannot write " << input.golden;
+        }
+
+        std::ifstream in(input.golden, std::ios::binary);
+        ASSERT_TRUE(in.good())
+            << "missing golden fixture " << input.golden
+            << " (regenerate as described above)";
+        std::ostringstream want;
+        want << in.rdbuf();
+        EXPECT_EQ(got, want.str())
+            << "fixed-seed " << input.arrival
+            << " RackStats drifted from the committed golden";
     }
-
-    std::ifstream in(TOLEO_RACK_GOLDEN, std::ios::binary);
-    ASSERT_TRUE(in.good())
-        << "missing golden fixture " << TOLEO_RACK_GOLDEN
-        << " (regenerate as described above)";
-    std::ostringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(got, want.str())
-        << "fixed-seed RackStats drifted from the committed golden";
 }
 
 #endif // TOLEO_RACK_GOLDEN

@@ -263,6 +263,32 @@ TEST(ToleoSimBinary, TinySweepEmitsValidJson)
     std::remove(out.c_str());
 }
 
+namespace {
+
+/**
+ * Run the toleo_sim binary with @p args.  @return its stderr when it
+ * exits non-zero, or "<exit 0>" when it succeeds.
+ */
+std::string
+cliError(const std::string &args)
+{
+    const std::string errPath =
+        ::testing::TempDir() + "/toleo_sim_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".err";
+    const std::string cmd = std::string("\"") + TOLEO_SIM_BIN + "\" " +
+                            args + " --quiet > /dev/null 2> \"" +
+                            errPath + "\"";
+    const int rc = std::system(cmd.c_str());
+    std::ifstream in(errPath);
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::remove(errPath.c_str());
+    return rc == 0 ? "<exit 0>" : text.str();
+}
+
+} // namespace
+
 TEST(ToleoSimBinary, CsvAndBadArgs)
 {
     const std::string out =
@@ -288,6 +314,37 @@ TEST(ToleoSimBinary, CsvAndBadArgs)
         std::string("\"") + TOLEO_SIM_BIN +
         "\" --engines Bogus --quiet > /dev/null 2>&1";
     EXPECT_NE(std::system(bad.c_str()), 0);
+
+    // Unsigned flags are range-checked by name, never wrapped modulo
+    // 2^32: --cores 4294967298 used to simulate 2 cores, and
+    // --rack-threads 4294967296 died with "must be positive".  Each
+    // value below wraps to a runnable setting, so a lost check shows
+    // up as a clean exit.
+    struct Case
+    {
+        const char *flag;
+        const char *args;
+    };
+    const std::string cell = "--workloads bsw --engines Toleo --cores 2"
+                             " --warmup 500 --measure 2000 --out \"" +
+                             out + "\" ";
+    for (const Case &c :
+         {Case{"--cores", "--cores 4294967298"},
+          Case{"--jobs", "--jobs 4294967297"},
+          Case{"--threads-per-cell", "--threads-per-cell 4294967297"},
+          Case{"--rack", "--rack 4294967298"},
+          Case{"--rack-threads", "--rack 2 --rack-threads 4294967297"},
+          Case{"--rack-threads", "--rack 2 --rack-threads 4294967296"},
+          Case{"--bench-big", "--bench --bench-big 1,4294967297"},
+          Case{"--seed", "--seed 99999999999999999999"}}) {
+        const std::string err = cliError(cell + c.args);
+        EXPECT_NE(err.find(std::string(c.flag) + ": '"),
+                  std::string::npos)
+            << c.args << ": " << err;
+        EXPECT_NE(err.find("out of range"), std::string::npos)
+            << c.args << ": " << err;
+    }
+    std::remove(out.c_str());
 }
 
 TEST(ToleoSimBinary, OpenLoopServingCell)
@@ -342,6 +399,13 @@ TEST(ToleoSimBinary, ServingGuardsFailFast)
     EXPECT_TRUE(fails("--arrival burst:1e6"));
     EXPECT_TRUE(fails("--slo-us 0"));
     EXPECT_TRUE(fails("--slo-us -3"));
+    // The SLO grades open-loop requests only; under the closed model
+    // it used to be silently ignored (no serving block at all).
+    EXPECT_TRUE(fails("--slo-us 50 --workloads bsw --engines Toleo"
+                      " --cores 2 --warmup 500 --measure 2000"));
+    EXPECT_TRUE(fails("--arrival closed --slo-us 50 --workloads bsw"
+                      " --engines Toleo --cores 2 --warmup 500"
+                      " --measure 2000"));
     // Open arrival excludes the closed-loop-only modes.
     EXPECT_TRUE(fails("--arrival poisson:1e6 --bench"));
     EXPECT_TRUE(fails("--arrival poisson:1e6 --record-trace x.trc"

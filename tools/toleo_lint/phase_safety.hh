@@ -3,13 +3,14 @@
  * Phase-safety static race analysis for the toleo tree.
  *
  * The repo's load-bearing invariant -- bit-identical fixed-seed stats
- * under any --threads-per-cell / --jobs combination -- rests on a
- * phase discipline: inside System::stepRounds the *private* phase may
- * run per-core bodies concurrently (IntraPool), so everything
- * reachable from a private-phase entry point must touch only
- * core-indexed or instance-local state; all genuinely shared
- * structures are mutated only in the single-threaded *shared* replay
- * phase.  TSan checks this discipline on the executions the test grid
+ * under any --threads-per-cell / --rack-threads / --jobs combination
+ * -- rests on a phase discipline: every System epoch plan item has a
+ * *private* half (System::runItemPrivate), which may run per-core
+ * bodies concurrently (IntraPool) and whole nodes concurrently (the
+ * rack pool), and a *shared* half (System::runItemShared).
+ * Everything reachable from a private-phase entry point must touch
+ * only core-indexed or instance-local state; all genuinely shared
+ * structures are mutated only in the single-threaded shared replay.  TSan checks this discipline on the executions the test grid
  * happens to run; this pass checks it on the *code*, over every
  * app/engine combination at once.
  *

@@ -13,6 +13,7 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -50,8 +52,11 @@ struct CliOptions
     std::string benchPrevPath;
     /** Free-text host/context note embedded in the bench record. */
     std::string benchNote;
-    /** Big-cell microbench thread counts ("1,2,8"); empty = skip. */
-    std::string benchBig;
+    /** Big-cell microbench thread counts (--bench-big 1,2,8);
+     *  empty = skip. */
+    std::vector<unsigned> benchBig;
+    /** --slo-us was given (it only means something open-loop). */
+    bool sloSet = false;
     /** --jobs was given explicitly (0 = auto-detect). */
     bool jobsSet = false;
     /** Run even when jobs x threads-per-cell exceeds the host. */
@@ -116,7 +121,7 @@ usage(const char *argv0)
         "                    statistic\n"
         "  --slo-us X        latency SLO threshold in microseconds for\n"
         "                    the serving block's attainment stat\n"
-        "                    (default: 100)\n"
+        "                    (default: 100; needs an open --arrival)\n"
         "  --format FMT      json or csv (default: json)\n"
         "  --out FILE        write results to FILE instead of stdout\n"
         "  --trace FILE      replay every cell's reference streams\n"
@@ -155,13 +160,50 @@ std::uint64_t
 parseUint(const char *flag, const char *text)
 {
     char *end = nullptr;
+    errno = 0;
     const unsigned long long v = std::strtoull(text, &end, 10);
     // strtoull silently wraps "-1" to a huge value; reject it here.
     if (end == text || *end != '\0' ||
         std::strchr(text, '-') != nullptr)
         fatal("%s: expected a non-negative integer, got '%s'", flag,
               text);
+    // ...and clamps anything past 64 bits to ULLONG_MAX.
+    if (errno == ERANGE)
+        fatal("%s: '%s' is out of range", flag, text);
     return v;
+}
+
+/** parseUint for the unsigned-typed flags: a value above UINT_MAX
+ *  is rejected by name instead of wrapping modulo 2^32. */
+unsigned
+parseUnsigned(const char *flag, const char *text)
+{
+    const std::uint64_t v = parseUint(flag, text);
+    if (v > std::numeric_limits<unsigned>::max())
+        fatal("%s: '%s' is out of range (at most %u)", flag, text,
+              std::numeric_limits<unsigned>::max());
+    return static_cast<unsigned>(v);
+}
+
+/** The --bench-big thread-count list, validated up front. */
+std::vector<unsigned>
+parseThreadList(const char *text)
+{
+    std::vector<unsigned> counts;
+    std::stringstream ss(text);
+    std::string part;
+    while (std::getline(ss, part, ',')) {
+        if (part.empty())
+            continue;
+        const unsigned t = parseUnsigned("--bench-big", part.c_str());
+        if (t == 0)
+            fatal("--bench-big: thread counts must be positive");
+        counts.push_back(t);
+    }
+    if (counts.empty())
+        fatal("--bench-big: expected a comma-separated list of "
+              "thread counts, got '%s'", text);
+    return counts;
 }
 
 const char *
@@ -189,12 +231,11 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(arg, "--bench-note")) {
             opts.benchNote = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--bench-big")) {
-            opts.benchBig = nextArg(argc, argv, i);
+            opts.benchBig = parseThreadList(nextArg(argc, argv, i));
         } else if (!std::strcmp(arg, "--engines")) {
             opts.engines = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--cores")) {
-            opts.sweep.cores = static_cast<unsigned>(
-                parseUint(arg, nextArg(argc, argv, i)));
+            opts.sweep.cores = parseUnsigned(arg, nextArg(argc, argv, i));
             if (opts.sweep.cores == 0)
                 fatal("--cores must be positive");
         } else if (!std::strcmp(arg, "--warmup")) {
@@ -208,12 +249,11 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(arg, "--jobs")) {
             // 0 = auto-detect, resolved below once every flag
             // (notably --threads-per-cell) has been parsed.
-            opts.sweep.jobs = static_cast<unsigned>(
-                parseUint(arg, nextArg(argc, argv, i)));
+            opts.sweep.jobs = parseUnsigned(arg, nextArg(argc, argv, i));
             opts.jobsSet = opts.sweep.jobs != 0;
         } else if (!std::strcmp(arg, "--threads-per-cell")) {
-            opts.sweep.intraThreads = static_cast<unsigned>(
-                parseUint(arg, nextArg(argc, argv, i)));
+            opts.sweep.intraThreads =
+                parseUnsigned(arg, nextArg(argc, argv, i));
             if (opts.sweep.intraThreads == 0)
                 fatal("--threads-per-cell must be positive");
         } else if (!std::strcmp(arg, "--allow-oversubscribe")) {
@@ -221,13 +261,13 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(arg, "--seed")) {
             opts.sweep.seed = parseUint(arg, nextArg(argc, argv, i));
         } else if (!std::strcmp(arg, "--rack")) {
-            opts.sweep.rackNodes = static_cast<unsigned>(
-                parseUint(arg, nextArg(argc, argv, i)));
+            opts.sweep.rackNodes =
+                parseUnsigned(arg, nextArg(argc, argv, i));
             if (opts.sweep.rackNodes == 0)
                 fatal("--rack must be positive");
         } else if (!std::strcmp(arg, "--rack-threads")) {
-            opts.sweep.rackThreads = static_cast<unsigned>(
-                parseUint(arg, nextArg(argc, argv, i)));
+            opts.sweep.rackThreads =
+                parseUnsigned(arg, nextArg(argc, argv, i));
             if (opts.sweep.rackThreads == 0)
                 fatal("--rack-threads must be positive");
         } else if (!std::strcmp(arg, "--rack-service")) {
@@ -256,6 +296,7 @@ parseArgs(int argc, char **argv)
                 !(opts.sweep.arrival.sloUs > 0.0))
                 fatal("--slo-us: expected a positive latency in "
                       "microseconds, got '%s'", text);
+            opts.sloSet = true;
         } else if (!std::strcmp(arg, "--format")) {
             opts.format = nextArg(argc, argv, i);
             if (opts.format != "json" && opts.format != "csv")
@@ -432,24 +473,7 @@ phasesToJson(const PhaseTimes &ph)
 Json
 runBenchBig(const CliOptions &opts)
 {
-    std::vector<unsigned> counts;
-    {
-        std::stringstream ss(opts.benchBig);
-        std::string part;
-        while (std::getline(ss, part, ',')) {
-            if (part.empty())
-                continue;
-            const unsigned t = static_cast<unsigned>(
-                parseUint("--bench-big", part.c_str()));
-            if (t == 0)
-                fatal("--bench-big: thread counts must be positive");
-            counts.push_back(t);
-        }
-    }
-    if (counts.empty())
-        fatal("--bench-big: expected a comma-separated list of "
-              "thread counts, got '%s'", opts.benchBig.c_str());
-
+    const std::vector<unsigned> &counts = opts.benchBig;
     const SweepCell cell{"memcached", EngineKind::Toleo};
     SweepOptions bo;
     bo.cores = 64;
@@ -750,6 +774,11 @@ main(int argc, char **argv)
         }
     }
 
+    // The SLO only grades open-loop requests; under the closed model
+    // no serving block is emitted, so the threshold would be ignored.
+    if (opts.sloSet && !opts.sweep.arrival.open())
+        fatal("--slo-us sets the open-loop SLO threshold; it requires "
+              "--arrival poisson:<rate> or burst:<rate>,<cv>");
     if (opts.sweep.arrival.open()) {
         // The serving overlay never perturbs execution, so perf
         // numbers would be valid -- but a bench record that differs
