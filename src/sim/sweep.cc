@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -14,8 +13,7 @@
 namespace toleo {
 
 SimStats
-runSweepCell(const SweepCell &cell, const SweepOptions &opts,
-             PhaseTimes *phases)
+runSweepCell(const SweepCell &cell, const SweepOptions &opts)
 {
     SystemConfig cfg =
         makeScaledConfig(cell.workload, cell.engine, opts.cores);
@@ -25,12 +23,8 @@ runSweepCell(const SweepCell &cell, const SweepOptions &opts,
     cfg.recordTracePath = opts.recordTracePath;
     cfg.intraThreads = opts.intraThreads;
     cfg.arrival = opts.arrival;
-    cfg.phaseTimers = phases != nullptr;
     System sys(cfg);
-    SimStats stats = sys.run(opts.warmupRefs, opts.measureRefs);
-    if (phases)
-        *phases = sys.phaseTimes();
-    return stats;
+    return sys.run(opts.warmupRefs, opts.measureRefs);
 }
 
 std::vector<SweepCell>
@@ -134,8 +128,7 @@ withPreloadedTrace(const SweepOptions &opts, SweepOptions &shared)
 std::vector<SimStats>
 runSweep(const std::vector<SweepCell> &cells,
          const SweepOptions &opts, const SweepProgressFn &progress,
-         std::vector<double> *cellSeconds, const SweepCellFn &cellFn,
-         std::vector<PhaseTimes> *cellPhases)
+         const SweepCellFn &cellFn)
 {
     // Recording writes one trace file per run(), so a multi-cell
     // grid would have every cell truncate and rewrite the same path
@@ -151,30 +144,11 @@ runSweep(const std::vector<SweepCell> &cells,
     const SweepOptions &effOpts = withPreloadedTrace(opts, shared);
 
     std::vector<SimStats> results(cells.size());
-    if (cellSeconds)
-        cellSeconds->assign(cells.size(), 0.0);
-    if (cellPhases)
-        cellPhases->assign(cells.size(), PhaseTimes{});
-
     runCellPool(
         cells.size(), opts.jobs,
         [&](std::size_t i) {
-            // Cell wall-clock is perf telemetry (--bench), never an
-            // input to the simulation itself.
-            // toleo-lint: allow(nondeterminism)
-            const auto t0 = std::chrono::steady_clock::now();
-            results[i] =
-                cellFn ? cellFn(cells[i], effOpts)
-                       : runSweepCell(cells[i], effOpts,
-                                      cellPhases ? &(*cellPhases)[i]
-                                                 : nullptr);
-            if (cellSeconds) {
-                (*cellSeconds)[i] =
-                    std::chrono::duration<double>(
-                        // toleo-lint: allow(nondeterminism)
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-            }
+            results[i] = cellFn ? cellFn(cells[i], effOpts)
+                                : runSweepCell(cells[i], effOpts);
         },
         [&](std::size_t i, std::size_t d) {
             if (progress)
@@ -209,8 +183,7 @@ runRackSweepCell(const SweepCell &cell, const SweepOptions &opts)
 std::vector<RackStats>
 runRackSweep(const std::vector<SweepCell> &cells,
              const SweepOptions &opts,
-             const RackSweepProgressFn &progress,
-             std::vector<double> *cellSeconds)
+             const RackSweepProgressFn &progress)
 {
     if (opts.rackNodes == 0)
         throw std::invalid_argument(
@@ -225,23 +198,10 @@ runRackSweep(const std::vector<SweepCell> &cells,
     const SweepOptions &effOpts = withPreloadedTrace(opts, shared);
 
     std::vector<RackStats> results(cells.size());
-    if (cellSeconds)
-        cellSeconds->assign(cells.size(), 0.0);
-
     runCellPool(
         cells.size(), opts.jobs,
         [&](std::size_t i) {
-            // Perf telemetry only, as in runSweep above.
-            // toleo-lint: allow(nondeterminism)
-            const auto t0 = std::chrono::steady_clock::now();
             results[i] = runRackSweepCell(cells[i], effOpts);
-            if (cellSeconds) {
-                (*cellSeconds)[i] =
-                    std::chrono::duration<double>(
-                        // toleo-lint: allow(nondeterminism)
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-            }
         },
         [&](std::size_t i, std::size_t d) {
             if (progress)

@@ -84,13 +84,8 @@ struct SweepOptions
     ArrivalConfig arrival;
 };
 
-/**
- * Build and run the System for one cell.
- * @param phases If non-null, enables SystemConfig::phaseTimers and
- *        receives the cell's wall-time breakdown by phase.
- */
-SimStats runSweepCell(const SweepCell &cell, const SweepOptions &opts,
-                      PhaseTimes *phases = nullptr);
+/** Build and run the System for one cell. */
+SimStats runSweepCell(const SweepCell &cell, const SweepOptions &opts);
 
 /**
  * Called as each cell finishes (from the worker that ran it, under a
@@ -116,20 +111,13 @@ std::vector<SweepCell> makeSweepGrid(
  * in-flight cells finish, and the exception is rethrown on the
  * calling thread after the pool joins.
  *
- * @param cellSeconds If non-null, resized to cells.size() and filled
- *        with each cell's wall-clock seconds (perf tracking).
  * @param cellFn Cell runner override; defaults to runSweepCell.
- * @param cellPhases If non-null, resized to cells.size() and filled
- *        with each cell's per-phase wall-time breakdown (zeros when
- *        @p cellFn overrides the runner).
  * @return One SimStats per cell, in the order of @p cells.
  */
 std::vector<SimStats> runSweep(const std::vector<SweepCell> &cells,
                                const SweepOptions &opts,
                                const SweepProgressFn &progress = {},
-                               std::vector<double> *cellSeconds = nullptr,
-                               const SweepCellFn &cellFn = {},
-                               std::vector<PhaseTimes> *cellPhases = nullptr);
+                               const SweepCellFn &cellFn = {});
 
 /** Build and run one cell as an opts.rackNodes-node rack. */
 RackStats runRackSweepCell(const SweepCell &cell,
@@ -149,8 +137,7 @@ using RackSweepProgressFn = std::function<void(
  */
 std::vector<RackStats> runRackSweep(
     const std::vector<SweepCell> &cells, const SweepOptions &opts,
-    const RackSweepProgressFn &progress = {},
-    std::vector<double> *cellSeconds = nullptr);
+    const RackSweepProgressFn &progress = {});
 
 /**
  * Parse an engine name as printed by engineKindName().

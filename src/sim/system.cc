@@ -17,9 +17,9 @@ namespace toleo {
 namespace {
 
 /**
- * Host wall clock for the bench-only phase breakdown (PhaseTimes).
- * Gated so the default path performs no clock calls; the value never
- * feeds simulated state, only the --bench telemetry.
+ * Host wall clock for the phase breakdown (PhaseTimes).  Gated so the
+ * default path performs no clock calls; the value never feeds
+ * simulated state, only perfbench's traced run.
  */
 double
 benchNowNs(bool enabled)

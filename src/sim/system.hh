@@ -115,9 +115,9 @@ struct SystemConfig
     /**
      * Accumulate the per-phase wall-time breakdown (phaseTimes()).
      * Off by default: the clock calls are pure measurement overhead,
-     * and the numbers are a bench-only side channel -- they are
-     * deliberately NOT part of SimStats/statsToJson, whose fixed-seed
-     * output is byte-pinned by goldens.
+     * and the numbers are a side channel for perfbench's traced run
+     * -- they are deliberately NOT part of SimStats/statsToJson, whose
+     * fixed-seed output is byte-pinned by goldens.
      */
     bool phaseTimers = false;
     /**
@@ -134,9 +134,9 @@ struct SystemConfig
 
 /**
  * Wall-time breakdown of a run by phase, in nanoseconds of host time.
- * Collected only when SystemConfig::phaseTimers is set, and reported
- * only through the --bench JSON -- never through statsToJson, so the
- * determinism goldens stay byte-identical.
+ * Collected only when SystemConfig::phaseTimers is set, and read only
+ * by perfbench's traced run -- never reported through statsToJson, so
+ * the determinism goldens stay byte-identical.
  */
 struct PhaseTimes
 {

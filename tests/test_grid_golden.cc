@@ -1,23 +1,28 @@
 /**
  * @file
  * Pins the bench-scale paper grid: every cell of the 12-workload x
- * 6-engine sweep at the committed perf record's shape (8 cores,
- * 30k warmup + 60k measured refs per core, seed 42) must reproduce
- * that record's ipc and llcMpki exactly.  The fixture
- * tests/data/golden_grid8.json is those two columns of
- * BENCH_sweep.json; after an *intended* model change regenerate the
- * record with `toleo_sim --bench`, then re-extract the fixture:
+ * 6-engine sweep at toleo_sim's default shape (8 cores, 30k warmup +
+ * 60k measured refs per core, seed 42) must reproduce the committed
+ * ipc and llcMpki exactly.  The fixture tests/data/golden_grid8.json
+ * holds those two columns; its "source" names the retired perf
+ * record they were first extracted from.  After an *intended* model
+ * change, regenerate it from a plain sweep's results[*]:
  *
+ *   build/tools/toleo_sim --workloads all --engines all --quiet \
+ *       --out grid8.json
  *   python3 - <<'EOF'
  *   import json
- *   b = json.load(open('BENCH_sweep.json'))
- *   json.dump({'source': 'BENCH_sweep.json',
- *              'config': {k: b['config'][k] for k in
- *                         ('cores', 'warmupRefs', 'measureRefs', 'seed')},
- *              'cells': [{k: c[k] for k in
- *                         ('workload', 'engine', 'ipc', 'llcMpki')}
- *                        for c in b['cells']]},
- *             open('tests/data/golden_grid8.json', 'w'), indent=2)
+ *   g = json.load(open('grid8.json'))
+ *   with open('tests/data/golden_grid8.json', 'w') as f:
+ *       json.dump({'source': 'toleo_sim --workloads all --engines all',
+ *                  'config': {k: g['config'][k] for k in
+ *                             ('cores', 'warmupRefs', 'measureRefs',
+ *                              'seed')},
+ *                  'cells': [{k: r[k] for k in
+ *                             ('workload', 'engine', 'ipc', 'llcMpki')}
+ *                            for r in g['results']]},
+ *                 f, indent=2)
+ *       f.write('\n')
  *   EOF
  */
 

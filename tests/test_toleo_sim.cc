@@ -335,7 +335,6 @@ TEST(ToleoSimBinary, CsvAndBadArgs)
           Case{"--rack", "--rack 4294967298"},
           Case{"--rack-threads", "--rack 2 --rack-threads 4294967297"},
           Case{"--rack-threads", "--rack 2 --rack-threads 4294967296"},
-          Case{"--bench-big", "--bench --bench-big 1,4294967297"},
           Case{"--seed", "--seed 99999999999999999999"}}) {
         const std::string err = cliError(cell + c.args);
         EXPECT_NE(err.find(std::string(c.flag) + ": '"),
@@ -406,8 +405,7 @@ TEST(ToleoSimBinary, ServingGuardsFailFast)
     EXPECT_TRUE(fails("--arrival closed --slo-us 50 --workloads bsw"
                       " --engines Toleo --cores 2 --warmup 500"
                       " --measure 2000"));
-    // Open arrival excludes the closed-loop-only modes.
-    EXPECT_TRUE(fails("--arrival poisson:1e6 --bench"));
+    // Open arrival excludes the closed-loop-only capture.
     EXPECT_TRUE(fails("--arrival poisson:1e6 --record-trace x.trc"
                       " --workloads kvs --engines Toleo"));
     // --rack-service guards: inf and a bandwidth below the node link
@@ -417,6 +415,18 @@ TEST(ToleoSimBinary, ServingGuardsFailFast)
                       " --engines Toleo"));
     EXPECT_TRUE(fails("--rack 2 --rack-service 0.001 --workloads bsw"
                       " --engines Toleo"));
+    // Outside rack mode --rack-service used to be a silent no-op that
+    // simulated a single node; it now fails by name, like
+    // --rack-threads.
+    for (const char *args :
+         {"--rack-service 5 --workloads bsw --engines Toleo",
+          "--rack 1 --rack-service 5 --workloads bsw --engines Toleo"}) {
+        const std::string err = cliError(
+            std::string(args) + " --cores 2 --warmup 500 --measure 2000");
+        EXPECT_NE(err.find("--rack-service configures a rack cell"),
+                  std::string::npos)
+            << args << ": " << err;
+    }
 }
 
 TEST(ToleoSimBinary, RackThreadsGuardsAndBitIdentity)
@@ -443,132 +453,58 @@ TEST(ToleoSimBinary, RackThreadsGuardsAndBitIdentity)
     EXPECT_TRUE(fails("--rack 2 --rack-threads 500"
                       " --threads-per-cell 500 --jobs 1000"
                       " --workloads bsw --engines Toleo"));
+    // The budget is computed in 64 bits: 2^31 x 2 used to wrap to 0
+    // threads per cell and slip past the guard.
+    const std::string wrapped =
+        cliError("--jobs 4 --rack 2 --rack-threads 2147483648"
+                 " --threads-per-cell 2 --workloads bsw --engines Toleo"
+                 " --cores 2 --warmup 500 --measure 2000");
+    EXPECT_NE(wrapped.find("oversubscribes"), std::string::npos)
+        << wrapped;
 
     // A threaded rack cell emits byte-identical *results* to the
     // serial one (the config block differs by design: it records
     // rackThreads), and --allow-oversubscribe lets the product
     // through on any host.
-    const auto runRackCli = [](const std::string &extra,
-                               const std::string &out) {
+    const std::string out =
+        ::testing::TempDir() + "/toleo_sim_rack_threads.json";
+    const auto runRackCli = [&out](const std::string &extra) {
         const std::string cmd =
             std::string("\"") + TOLEO_SIM_BIN +
             "\" --workloads bsw --engines Toleo --rack 2 --cores 2"
-            " --warmup 500 --measure 2000 --jobs 1 --quiet " +
+            " --warmup 500 --measure 2000 --quiet " +
             extra + " --out \"" + out + "\"";
-        return std::system(cmd.c_str());
-    };
-    const std::string serialOut =
-        ::testing::TempDir() + "/toleo_sim_rack_serial.json";
-    const std::string threadedOut =
-        ::testing::TempDir() + "/toleo_sim_rack_threaded.json";
-    ASSERT_EQ(runRackCli("--rack-threads 1", serialOut), 0);
-    ASSERT_EQ(runRackCli("--rack-threads 2 --allow-oversubscribe",
-                         threadedOut),
-              0);
-
-    const auto parse = [](const std::string &path) {
-        std::ifstream in(path);
+        EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+        std::ifstream in(out);
         std::ostringstream text;
         text << in.rdbuf();
         std::string err;
         Json doc = Json::parse(text.str(), &err);
-        EXPECT_TRUE(err.empty()) << path << ": " << err;
+        EXPECT_TRUE(err.empty()) << extra << ": " << err;
+        std::remove(out.c_str());
         return doc;
     };
-    const Json serial = parse(serialOut);
-    const Json threaded = parse(threadedOut);
+    const Json serial = runRackCli("--jobs 1 --rack-threads 1");
     EXPECT_EQ(serial.get("config")->get("rackThreads")->asUint(), 1u);
-    EXPECT_EQ(threaded.get("config")->get("rackThreads")->asUint(),
-              2u);
     ASSERT_NE(serial.get("results"), nullptr);
-    ASSERT_NE(threaded.get("results"), nullptr);
-    EXPECT_EQ(serial.get("results")->dump(2),
-              threaded.get("results")->dump(2));
-    std::remove(serialOut.c_str());
-    std::remove(threadedOut.c_str());
-}
-
-TEST(ToleoSimBinary, BenchModeEmitsPerfRecord)
-{
-    const std::string out =
-        ::testing::TempDir() + "/toleo_sim_bench.json";
-    const std::string cmd =
-        std::string("\"") + TOLEO_SIM_BIN +
-        "\" --bench --workloads bsw,dbg --engines NoProtect,Toleo"
-        " --cores 2 --warmup 500 --measure 2000 --jobs 2 --quiet"
-        " --out \"" + out + "\"";
-    ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
-
-    std::ifstream in(out);
-    ASSERT_TRUE(in.good()) << "missing bench output " << out;
-    std::ostringstream text;
-    text << in.rdbuf();
-
-    std::string err;
-    const Json doc = Json::parse(text.str(), &err);
-    ASSERT_TRUE(err.empty()) << err;
-
-    EXPECT_EQ(doc.get("mode")->asString(), "bench");
-    EXPECT_GT(doc.get("wallSeconds")->asDouble(), 0.0);
-    EXPECT_GT(doc.get("refsPerSec")->asDouble(), 0.0);
-    // 4 cells x (500 warmup + 2000 measured) x 2 cores.
-    EXPECT_EQ(doc.get("totalRefs")->asUint(), 4u * 2500 * 2);
-
-    const Json *cells = doc.get("cells");
-    ASSERT_NE(cells, nullptr);
-    ASSERT_EQ(cells->size(), 4u);
-    for (std::size_t i = 0; i < cells->size(); ++i) {
-        EXPECT_GT(cells->at(i).get("wallSeconds")->asDouble(), 0.0);
-        EXPECT_GT(cells->at(i).get("refsPerSec")->asDouble(), 0.0);
+    const std::string want = serial.get("results")->dump(2);
+    // The 65536 x 65536 budget used to wrap to 0 and die dividing by
+    // it; now --jobs auto-detects to 1 and both pools clamp to the
+    // two nodes and two cores.
+    for (const char *extra :
+         {"--jobs 1 --rack-threads 2 --allow-oversubscribe",
+          "--jobs 1 --rack-threads 2 --threads-per-cell 2"
+          " --allow-oversubscribe",
+          "--rack-threads 65536 --threads-per-cell 65536"}) {
+        const Json threaded = runRackCli(extra);
+        ASSERT_NE(threaded.get("results"), nullptr) << extra;
+        EXPECT_EQ(threaded.get("config")->get("jobs")->asUint(), 1u)
+            << extra;
+        EXPECT_GT(threaded.get("config")->get("rackThreads")->asUint(),
+                  1u)
+            << extra;
+        EXPECT_EQ(threaded.get("results")->dump(2), want) << extra;
     }
-
-    // A like-for-like second run reports the before/after delta.
-    const std::string out2 =
-        ::testing::TempDir() + "/toleo_sim_bench2.json";
-    const std::string cmd2 =
-        std::string("\"") + TOLEO_SIM_BIN +
-        "\" --bench --workloads bsw,dbg --engines NoProtect,Toleo"
-        " --cores 2 --warmup 500 --measure 2000 --jobs 2 --quiet"
-        " --bench-prev \"" + out + "\" --out \"" + out2 + "\"";
-    ASSERT_EQ(std::system(cmd2.c_str()), 0) << cmd2;
-    std::ifstream in2(out2);
-    std::ostringstream text2;
-    text2 << in2.rdbuf();
-    const Json doc2 = Json::parse(text2.str(), &err);
-    ASSERT_TRUE(err.empty()) << err;
-    ASSERT_TRUE(doc2.has("previous"));
-    EXPECT_GT(doc2.get("previous")->get("wallSeconds")->asDouble(),
-              0.0);
-    ASSERT_TRUE(doc2.has("speedupVsPrevious"));
-    EXPECT_GT(doc2.get("speedupVsPrevious")->asDouble(), 0.0);
-
-    // A mismatched grid embeds 'previous' but omits the wall-clock
-    // ratio (comparing different amounts of work is meaningless).
-    const std::string out3 =
-        ::testing::TempDir() + "/toleo_sim_bench3.json";
-    const std::string cmd3 =
-        std::string("\"") + TOLEO_SIM_BIN +
-        "\" --bench --workloads bsw --engines NoProtect"
-        " --cores 2 --warmup 500 --measure 2000 --jobs 1 --quiet"
-        " --bench-prev \"" + out + "\" --out \"" + out3 + "\"";
-    ASSERT_EQ(std::system(cmd3.c_str()), 0) << cmd3;
-    std::ifstream in3(out3);
-    std::ostringstream text3;
-    text3 << in3.rdbuf();
-    const Json doc3 = Json::parse(text3.str(), &err);
-    ASSERT_TRUE(err.empty()) << err;
-    ASSERT_TRUE(doc3.has("previous"));
-    EXPECT_FALSE(doc3.has("speedupVsPrevious"));
-
-    // bench mode is JSON-only: an explicit CSV request must fail.
-    const std::string bad_fmt =
-        std::string("\"") + TOLEO_SIM_BIN +
-        "\" --bench --format csv --quiet > /dev/null 2>&1";
-    EXPECT_NE(std::system(bad_fmt.c_str()), 0);
-
-    std::remove(out.c_str());
-    std::remove(out2.c_str());
-    std::remove(out3.c_str());
 }
 
 #endif // TOLEO_SIM_BIN

@@ -103,8 +103,8 @@ ruleNondeterminism(const std::vector<SourceFile> &files, Linter &lint)
          "time() is wall-clock input; simulations must not read it"},
         {std::regex(
              R"((steady_clock|system_clock|high_resolution_clock)\s*::\s*now)"),
-         "clock reads are nondeterministic; only --bench wall-time "
-         "plumbing may use them (annotate the justified site)"},
+         "clock reads are nondeterministic; only wall-time telemetry "
+         "may use them (annotate the justified site)"},
         {std::regex(R"(std\s*::\s*this_thread)"),
          "std::this_thread (sleep/yield) makes timing part of the "
          "result"},
