@@ -3,11 +3,12 @@
  * Generic set-associative cache model with LRU replacement.
  *
  * Used for the data hierarchy (L1D/L2/L3), the MAC cache, the stealth
- * overflow buffer, the Merkle version cache, and (fully associative)
- * the shared last-level TLB.  The model tracks tags, dirty bits, and
- * hit/miss/writeback statistics -- no data payloads, which is all the
- * timing simulation needs.  Functional payloads live in the
- * protection-engine models that need them.
+ * overflow buffer, and the Merkle version cache; fully associative
+ * tables use FullyAssocCache (cache/fully_assoc.hh) instead.  The
+ * model tracks tags, dirty bits, and hit/miss/writeback statistics --
+ * no data payloads, which is all the timing simulation needs.
+ * Functional payloads live in the protection-engine models that need
+ * them.
  *
  * The simulator spends about half its time probing these caches, so
  * the storage is one slab of 64-bit words, blocked per set: a set's
@@ -289,8 +290,6 @@ class SetAssocCache
     std::size_t
     setBase(std::uint64_t key) const
     {
-        if (numSets_ == 1)
-            return 0;
         // Every real configuration has a power-of-two set count, for
         // which masking equals the modulo the model always used.
         const std::uint64_t set = setMask_

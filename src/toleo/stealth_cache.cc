@@ -4,11 +4,11 @@ namespace toleo {
 
 StealthCache::StealthCache(const StealthCacheConfig &cfg)
     : cfg_(cfg),
-      tlb_(1, cfg.tlbEntries),
+      tlb_(cfg.tlbEntries),
       overflow_(cfg.overflowBytes / cfg.overflowBlockBytes /
                     cfg.overflowAssoc,
                 cfg.overflowAssoc),
-      combine_(1, cfg.updateCombineEntries)
+      combine_(cfg.updateCombineEntries)
 {}
 
 std::uint64_t

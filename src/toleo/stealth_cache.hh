@@ -8,11 +8,17 @@
  * 28 KB, 16-way *stealth overflow buffer* with 56 B blocks; a full
  * entry spans four blocks, addressed by VPN ‖ 2-bit list offset.
  * Both caches are checked in parallel on every LLC miss.
+ *
+ * The TLB extension and the update write-combining buffer are
+ * exact-LRU FullyAssocCache tables: as one-set SetAssocCaches they
+ * cost a 256-way tag scan (and, on a fill, a 256-way LRU argmin) per
+ * LLC miss.  Same model, same victims, O(1) per probe.
  */
 
 #ifndef TOLEO_TOLEO_STEALTH_CACHE_HH
 #define TOLEO_TOLEO_STEALTH_CACHE_HH
 
+#include "cache/fully_assoc.hh"
 #include "cache/set_assoc.hh"
 #include "common/types.hh"
 #include "toleo/version.hh"
@@ -88,13 +94,13 @@ class StealthCache
     StealthCacheConfig cfg_;
     /** Fully associative TLB extension, keyed by page number. */
     // toleo: state(shared)
-    SetAssocCache tlb_;
+    FullyAssocCache tlb_;
     /** Overflow buffer keyed by (page << 2) | 56B-chunk index. */
     // toleo: state(shared)
     SetAssocCache overflow_;
-    /** Update write-combining buffer (page-granular, FIFO-LRU). */
+    /** Update write-combining buffer (page-granular, LRU). */
     // toleo: state(shared)
-    SetAssocCache combine_;
+    FullyAssocCache combine_;
 
     // toleo: state(shared)
     std::uint64_t hits_ = 0;

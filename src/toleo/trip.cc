@@ -18,7 +18,7 @@ tripFormatName(TripFormat fmt)
 }
 
 TripStore::TripStore(const TripConfig &cfg)
-    : cfg_(cfg), rng_(cfg.seed)
+    : cfg_(cfg), rng_(cfg.seed), slots_(16, 0), slotShift_(64 - 4)
 {
     if (cfg.stealthBits == 0 || cfg.stealthBits > 32)
         fatal("TripStore: stealthBits must be in 1..32");
@@ -55,22 +55,47 @@ TripStore::incStealth(std::uint32_t v) const
     return (v + 1) & stealthMask_;
 }
 
+std::size_t
+TripStore::findSlot(PageNum pg) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = slotOf(pg);
+    while (slots_[i] != 0 && pages_[slots_[i] - 1].page != pg)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+TripStore::growIndex()
+{
+    slots_.assign(slots_.size() * 2, 0);
+    --slotShift_;
+    for (std::size_t p = 0; p < pages_.size(); ++p)
+        slots_[findSlot(pages_[p].page)] = static_cast<std::uint32_t>(p + 1);
+}
+
 TripStore::PageState &
 TripStore::page(PageNum pg)
 {
-    auto it = pages_.find(pg);
-    if (it != pages_.end())
-        return it->second;
-    PageState ps;
+    std::size_t i = findSlot(pg);
+    if (slots_[i] != 0)
+        return pages_[slots_[i] - 1];
+    if (2 * (pages_.size() + 1) > slots_.size()) {
+        growIndex();
+        i = findSlot(pg);
+    }
+    PageState &ps = pages_.emplace_back();
+    ps.page = pg;
     ps.base = initialBase(pg);
-    return pages_.emplace(pg, std::move(ps)).first->second;
+    slots_[i] = static_cast<std::uint32_t>(pages_.size());
+    return ps;
 }
 
 const TripStore::PageState *
 TripStore::findPage(PageNum pg) const
 {
-    auto it = pages_.find(pg);
-    return it == pages_.end() ? nullptr : &it->second;
+    const std::uint32_t s = slots_[findSlot(pg)];
+    return s ? &pages_[s - 1] : nullptr;
 }
 
 std::uint32_t
@@ -234,7 +259,8 @@ TripStore::update(BlockNum blk)
     }
 
     res.fmtAfter = ps.fmt;
-    res.version = fullVersion(blk);
+    res.version = composeVersion(ps.uv, stealthOf(ps, idx),
+                                 cfg_.stealthBits);
     return res;
 }
 
@@ -278,10 +304,10 @@ TripStore::formatOf(PageNum page) const
 void
 TripStore::freePage(PageNum pg)
 {
-    auto it = pages_.find(pg);
-    if (it == pages_.end())
+    const std::uint32_t s = slots_[findSlot(pg)];
+    if (s == 0)
         return;
-    resetPage(it->second);
+    resetPage(pages_[s - 1]);
     ++frees_;
 }
 
@@ -296,7 +322,7 @@ TripStore::Breakdown
 TripStore::breakdown() const
 {
     Breakdown b;
-    for (const auto &[pg, ps] : pages_) {
+    for (const PageState &ps : pages_) {
         switch (ps.fmt) {
           case TripFormat::Flat: ++b.flat; break;
           case TripFormat::Uneven: ++b.uneven; break;

@@ -15,15 +15,24 @@
  * security properties (non-repetition of the full version, scramble
  * on free) are testable, and the same state drives the timing model's
  * space/caching statistics.
+ *
+ * Touched pages live in one dense vector, in first-touch order,
+ * indexed by an insert-only open-addressing table (linear probing
+ * over a Fibonacci hash of the page number) that starts at 16 slots
+ * and doubles at 50% load.  Pages are never erased -- a free resets
+ * the page in place -- so the table needs no tombstones and every
+ * walk over the pages is a walk over the vector.  A PageState& stays
+ * valid only until the next insert, which may reallocate the vector.
  */
 
 #ifndef TOLEO_TOLEO_TRIP_HH
 #define TOLEO_TOLEO_TRIP_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -122,7 +131,12 @@ class TripStore
 
     struct PageState
     {
+        /** The page this state belongs to (the index's key). */
+        PageNum page = 0;
         TripFormat fmt = TripFormat::Flat;
+        /** Max/min uneven offsets (packed in flat entry, Sec 4.3). */
+        std::uint8_t maxOff = 0;
+        std::uint8_t minOff = 0;
         /** Shared 27-bit stealth base (random-initialized). */
         std::uint32_t base = 0;
         /** Non-modular count of base increments since last reset. */
@@ -131,9 +145,6 @@ class TripStore
         std::uint64_t bitvec = 0;
         /** Shared 37-bit upper version. */
         std::uint64_t uv = 0;
-        /** Max/min uneven offsets (packed in flat entry, Sec 4.3). */
-        std::uint8_t maxOff = 0;
-        std::uint8_t minOff = 0;
         /** Virtual leading version (max increments since reset). */
         std::uint64_t vlead = 0;
         std::unique_ptr<UnevenEntry> uneven;
@@ -145,7 +156,11 @@ class TripStore
     std::uint64_t uvMask_;
     std::uint32_t offsetMax_;
     mutable Rng rng_;
-    std::unordered_map<PageNum, PageState> pages_;
+    /** Touched pages in first-touch order. */
+    std::vector<PageState> pages_;
+    /** Power-of-two index: pages_ position + 1, or 0 for empty. */
+    std::vector<std::uint32_t> slots_;
+    unsigned slotShift_;
 
     std::uint64_t unevenCount_ = 0;
     std::uint64_t fullCount_ = 0;
@@ -156,8 +171,24 @@ class TripStore
     std::uint64_t frees_ = 0;
     std::uint64_t updates_ = 0;
 
+    /** The page's state, inserted (at its initial flat state) on
+     *  first touch. */
     PageState &page(PageNum pg);
     const PageState *findPage(PageNum pg) const;
+
+    /** Home slot of @p pg in the index. */
+    std::size_t
+    slotOf(PageNum pg) const
+    {
+        return static_cast<std::size_t>(
+            (pg * 0x9e3779b97f4a7c15ULL) >> slotShift_);
+    }
+
+    /** Index slot holding @p pg, or the empty slot ending its run. */
+    std::size_t findSlot(PageNum pg) const;
+
+    /** Double the index and re-insert every page. */
+    void growIndex();
 
     /**
      * Deterministic random-looking initial stealth base of a page's

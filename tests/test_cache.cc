@@ -1,12 +1,18 @@
 /**
  * @file
- * Unit tests for the set-associative cache model.
+ * Unit tests for the set-associative cache model and the exact-LRU
+ * fully associative table, which must behave as a one-set
+ * SetAssocCache of the same capacity.
  */
+
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cache/fully_assoc.hh"
 #include "cache/set_assoc.hh"
-#include "cache/tlb.hh"
+#include "common/rng.hh"
 
 using namespace toleo;
 
@@ -127,21 +133,86 @@ TEST(SetAssocCache, ThrashingWorkingSetMisses)
     EXPECT_LT(c.hitRate(), 0.2);
 }
 
-TEST(SharedTlb, BasicHitMiss)
+TEST(FullyAssocCache, BasicHitMiss)
 {
-    SharedTlb tlb(4, 12);
-    EXPECT_FALSE(tlb.access(1));
-    EXPECT_TRUE(tlb.access(1));
-    EXPECT_EQ(tlb.extensionBytes(), 48u);
+    FullyAssocCache c(4);
+    EXPECT_FALSE(c.access(1, false).hit);
+    EXPECT_TRUE(c.access(1, false).hit);
+    EXPECT_EQ(c.hits(), 1u);
+    EXPECT_EQ(c.misses(), 1u);
 }
 
-TEST(SharedTlb, FullyAssociativeLru)
+TEST(FullyAssocCache, FullyAssociativeLru)
 {
-    SharedTlb tlb(2, 12);
-    tlb.access(1);
-    tlb.access(2);
-    tlb.access(1);
-    tlb.access(3); // evicts 2
-    EXPECT_TRUE(tlb.contains(1));
-    EXPECT_FALSE(tlb.contains(2));
+    FullyAssocCache c(2);
+    c.access(1, false);
+    c.access(2, false);
+    c.access(1, false);
+    auto r = c.access(3, false); // evicts 2
+    ASSERT_TRUE(r.evictedTag.has_value());
+    EXPECT_EQ(*r.evictedTag, 2u);
+    EXPECT_TRUE(c.contains(1));
+    EXPECT_FALSE(c.contains(2));
+}
+
+namespace {
+
+/**
+ * Drive FullyAssocCache(n) and its reference SetAssocCache(1, n)
+ * with one seeded sequence of accesses (reads and writes), touches
+ * (with and without dirty), invalidations, invalidateAll and
+ * resetStats over about 3n keys, half of them offset by 2^40 so the
+ * index hashes more than small integers, and compare every
+ * observable after each op.
+ */
+void
+expectMatchesOneSetCache(unsigned n, std::uint64_t seed, int ops)
+{
+    FullyAssocCache fa(n);
+    SetAssocCache ref(1, n);
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 0; k < 3 * n; ++k)
+        keys.push_back(k % 2 ? k : k | (std::uint64_t{1} << 40));
+    Rng rng(seed);
+    std::uint64_t evictions = 0;
+    for (int op = 0; op < ops; ++op) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " op=" << op);
+        const std::uint64_t key = keys[rng.nextBounded(keys.size())];
+        const std::uint64_t kind = rng.nextBounded(1000);
+        if (kind < 550) {
+            const bool is_write = rng.nextBool(0.3);
+            const CacheAccessResult a = fa.access(key, is_write);
+            const CacheAccessResult b = ref.access(key, is_write);
+            ASSERT_EQ(a.hit, b.hit);
+            ASSERT_EQ(a.writebackTag, b.writebackTag);
+            ASSERT_EQ(a.evictedTag, b.evictedTag);
+            evictions += a.writebackTag || a.evictedTag;
+        } else if (kind < 850) {
+            const bool dirty = rng.nextBool(0.5);
+            ASSERT_EQ(fa.touch(key, dirty), ref.touch(key, dirty));
+        } else if (kind < 980) {
+            ASSERT_EQ(fa.invalidate(key), ref.invalidate(key));
+        } else if (kind < 999) {
+            fa.resetStats();
+            ref.resetStats();
+        } else {
+            fa.invalidateAll();
+            ref.invalidateAll();
+        }
+        for (const std::uint64_t k : keys)
+            ASSERT_EQ(fa.contains(k), ref.contains(k)) << "key " << k;
+        ASSERT_EQ(fa.hits(), ref.hits());
+        ASSERT_EQ(fa.misses(), ref.misses());
+        ASSERT_EQ(fa.writebacks(), ref.writebacks());
+    }
+    // The sequence must reach the replacement path, not just fill.
+    EXPECT_GT(evictions, static_cast<std::uint64_t>(ops / 20));
+}
+
+} // namespace
+
+TEST(FullyAssocCache, MatchesOneSetSetAssocCache)
+{
+    for (const unsigned n : {1u, 2u, 16u, 256u})
+        ASSERT_NO_FATAL_FAILURE(expectMatchesOneSetCache(n, 100 + n, 6000));
 }

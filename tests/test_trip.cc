@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <vector>
 
+#include "common/rng.hh"
 #include "toleo/trip.hh"
 
 using namespace toleo;
@@ -375,4 +377,84 @@ TEST(Trip, DeterministicAcrossRuns)
         EXPECT_EQ(ra.version, rb.version);
         EXPECT_EQ(ra.fmtAfter, rb.fmtAfter);
     }
+}
+
+TEST(Trip, PageTableGrowthKeepsEveryPage)
+{
+    // The page index starts at 16 slots and doubles at 50% load, so
+    // 3000 pages take it through nine doublings.  Pages sit in the
+    // four initiator slices a rack device uses (offsets k * 2^40),
+    // some pages take repeated writes (upgrades), resets are frequent,
+    // and frees hit touched and untouched pages alike.
+    TripConfig cfg;
+    cfg.resetLog2 = 3;
+    TripStore t(cfg);
+    struct Last
+    {
+        BlockNum blk;
+        std::uint64_t version;
+        TripFormat fmt;
+    };
+    std::map<PageNum, Last> last;
+    std::vector<PageNum> touched;
+    std::uint64_t frees = 0;
+    Rng rng(14);
+
+    auto write = [&](BlockNum b) {
+        const PageNum pg = pageOfBlock(b);
+        const bool fresh = last.count(pg) == 0;
+        const TripUpdateResult r = t.update(b);
+        // Every result, including those of the inserts that double
+        // the index, must describe the store as it now stands.
+        ASSERT_EQ(t.fullVersion(b), r.version);
+        ASSERT_EQ(t.formatOf(pg), r.fmtAfter);
+        last[pg] = {b, r.version, r.fmtAfter};
+        if (fresh)
+            touched.push_back(pg);
+        ASSERT_EQ(t.touchedPages(), touched.size());
+    };
+
+    auto anyBlock = [&](PageNum pg) {
+        return blk(pg, static_cast<unsigned>(
+                           rng.nextBounded(blocksPerPage)));
+    };
+
+    for (std::uint64_t i = 0; i < 3000; ++i) {
+        const PageNum pg = ((i % 4) << 40) + (i / 4) * 3;
+        ASSERT_NO_FATAL_FAILURE(write(anyBlock(pg)));
+        if (rng.nextBool(0.3)) {
+            // The same block again: an upgrade unless a reset fires.
+            ASSERT_NO_FATAL_FAILURE(write(last[pg].blk));
+        }
+        if (rng.nextBool(0.2)) {
+            ASSERT_NO_FATAL_FAILURE(write(
+                anyBlock(touched[rng.nextBounded(touched.size())])));
+        }
+        if (rng.nextBool(0.1)) {
+            // Free a touched page: UV++, back to flat, stays counted.
+            const PageNum f = touched[rng.nextBounded(touched.size())];
+            const std::uint64_t uv = t.upperVersion(f);
+            t.freePage(f);
+            ++frees;
+            EXPECT_EQ(t.upperVersion(f), uv + 1);
+            last[f] = {last[f].blk, t.fullVersion(last[f].blk),
+                       TripFormat::Flat};
+        }
+        if (rng.nextBool(0.1)) {
+            // Free an untouched page (offset 3j + 1, never updated).
+            t.freePage(((i % 4) << 40) + (i / 4) * 3 + 1);
+            ASSERT_EQ(t.touchedPages(), touched.size());
+        }
+    }
+
+    EXPECT_EQ(t.frees(), frees);
+    EXPECT_EQ(t.touchedPages(), touched.size());
+    EXPECT_EQ(touched.size(), 3000u);
+    for (const auto &[pg, l] : last) {
+        EXPECT_EQ(t.fullVersion(l.blk), l.version) << "page " << pg;
+        EXPECT_EQ(t.formatOf(pg), l.fmt) << "page " << pg;
+    }
+    const TripStore::Breakdown b = t.breakdown();
+    EXPECT_EQ(b.flat + b.uneven + b.full, t.touchedPages());
+    EXPECT_GT(b.uneven + b.full, 0u);
 }
