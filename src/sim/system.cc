@@ -180,16 +180,12 @@ System::System(const SystemConfig &cfg)
 
     // Private-phase worker pool.  More threads than cores can never
     // help (the unit of work is one core's batch), and intraThreads
-    // == 1 keeps the single-threaded path with no pool, no footprint
-    // staging, and no synchronization at all.
+    // == 1 keeps the single-threaded path with no pool and no
+    // synchronization at all.
     const unsigned intra =
         std::min(std::max(cfg.intraThreads, 1u), cfg.numCores);
-    if (intra > 1) {
+    if (intra > 1)
         intraPool_ = std::make_unique<IntraPool>(intra);
-        footprintStage_.resize(cfg.numCores);
-        for (auto &stage : footprintStage_)
-            stage.reserve(batchRounds);
-    }
 }
 
 System::~System() = default;
@@ -231,7 +227,12 @@ System::stepShared(unsigned core, Addr addr,
     if (!res.llcMiss)
         return;
 
+    // RSS tracking: lines fill only on demand references and dirty
+    // spills only mark lines already present, so no block of an
+    // untouched page is resident anywhere and a page's first
+    // reference always lands here.
     const PageNum page = pageOf(addr);
+    footprint_.insert(page);
 
     // Data fill.  Resolve the page's home channel once for both the
     // traffic accounting and the latency lookup.
@@ -257,8 +258,6 @@ System::privateCore(unsigned core, std::uint64_t rounds)
     MemRef *refs = &refBuf_[core * batchRounds];
     SharedEvent *evs = &evBuf_[core * batchRounds];
     gens_[core]->nextBatch(refs, rounds);
-    std::vector<PageNum> *stage =
-        intraPool_ ? &footprintStage_[core] : nullptr;
     std::uint32_t nev = 0;
     std::uint64_t insts = 0;
     for (std::uint64_t k = 0; k < rounds; ++k) {
@@ -270,24 +269,6 @@ System::privateCore(unsigned core, std::uint64_t rounds)
         }
         const PrivateAccessResult priv = hierarchy_.accessPrivate(
             core, blockOf(ref.addr), ref.isWrite);
-        // RSS tracking off the L1-hit path: a page's very first
-        // reference always misses L1 (an untouched block cannot be
-        // resident), so recording pages on L1 misses only yields the
-        // same footprint set.  Under the pool the insert is staged
-        // per core -- footprint_ is the single structure the private
-        // phase would otherwise share -- and merged by stageRounds.
-        if (!priv.l1Hit) {
-            const PageNum page = pageOf(ref.addr);
-            if (stage)
-                stage->push_back(page);
-            else
-                // Justified shared touch: this branch only runs when
-                // intraPool_ is null, i.e. the private phase is
-                // single-threaded, so the direct insert cannot race.
-                // The pooled path stages per core (above) and merges
-                // in stageRounds.
-                footprint_.insert(page); // toleo-lint: allow(phase-safety)
-        }
         if (priv.needsShared()) {
             evs[nev].round = static_cast<std::uint32_t>(k);
             evs[nev].priv = priv;
@@ -336,63 +317,42 @@ System::stageRounds(std::uint64_t rounds, bool measuring)
         intraPool_->run(cores, [this, rounds](unsigned c) {
             privateCore(c, rounds);
         });
-        // Merge the staged footprint inserts serially, in core
-        // order.  The footprint is a set and its final contents are
-        // all that is ever read (size()), so the merge is
-        // bit-identical to inline insertion for any thread count.
-        for (unsigned c = 0; c < cores; ++c) {
-            for (PageNum page : footprintStage_[c])
-                // Node-local serialization: footprint_ belongs to
-                // this System alone and the rack pool runs one
-                // thread per System, so this merge -- like the
-                // direct insert in privateCore -- cannot race
-                // across nodes.
-                footprint_.insert(page); // toleo-lint: allow(phase-safety)
-            footprintStage_[c].clear();
-        }
     } else {
         for (unsigned c = 0; c < cores; ++c)
             privateCore(c, rounds);
     }
 
-    // Flatten the per-core queues into the staged log in round-robin
+    // Merge the per-core queues into the staged log in round-robin
     // global order: every round's shared work (L3 slices, memory
     // topology, protection engine) in core order, so the replay
     // feeds each shared structure the exact operation sequence of
-    // the one-reference-at-a-time loop.  Each core's queue is
-    // already round-ordered, so this is an n-way merge on the round
-    // index.  Rounds are numbered globally across the staged batches
-    // so a replay of several items is one linear scan.
+    // the one-reference-at-a-time loop.  Each core's queues are
+    // already round-ordered (a request ends at most once per round),
+    // so this is an n-way merge on the round index.  Warmup
+    // completions are not staged: warmup requests are ignored.
+    const bool completions = serving_ && measuring;
     for (std::uint64_t k = 0; k < rounds; ++k) {
         for (unsigned c = 0; c < cores; ++c) {
+            const SharedEvent *ev = nullptr;
             const std::uint32_t pos = evPos_[c];
-            if (pos >= evCount_[c])
-                continue;
-            const SharedEvent &ev = evBuf_[c * batchRounds + pos];
-            if (ev.round != k)
-                continue;
-            stagedEvents_.push_back(
-                {stageRoundBase_ + k, c,
-                 refBuf_[c * batchRounds + k].addr, ev.priv});
-            evPos_[c] = pos + 1;
-        }
-        if (serving_ && measuring) {
-            // Warmup boundaries are not staged: warmup requests are
-            // ignored, so the replay stream carries only live
-            // completions.
-            for (unsigned c = 0; c < cores; ++c) {
-                auto &sv = servCores_[c];
-                while (sv.pos < sv.boundaries.size() &&
-                       sv.boundaries[sv.pos].round == k) {
-                    stagedBoundaries_.push_back(
-                        {stageRoundBase_ + k, c,
-                         sv.boundaries[sv.pos].insts});
-                    ++sv.pos;
-                }
+            if (pos < evCount_[c] &&
+                evBuf_[c * batchRounds + pos].round == k) {
+                ev = &evBuf_[c * batchRounds + pos];
+                evPos_[c] = pos + 1;
             }
+            std::uint64_t done = 0;
+            if (completions) {
+                auto &sv = servCores_[c];
+                if (sv.pos < sv.boundaries.size() &&
+                    sv.boundaries[sv.pos].round == k)
+                    done = sv.boundaries[sv.pos++].insts;
+            }
+            if (ev || done)
+                staged_.push_back({c, refBuf_[c * batchRounds + k].addr,
+                                   ev ? ev->priv : PrivateAccessResult{},
+                                   done});
         }
     }
-    stageRoundBase_ += rounds;
 
     if (cfg_.phaseTimers)
         phases_.privateNs += benchNowNs(true) - t0;
@@ -627,32 +587,23 @@ System::planEpoch()
 }
 
 void
-System::recordTimelineSample(std::uint64_t insts,
-                             std::uint64_t footprintPages)
+System::recordTimelineSample(std::uint64_t insts)
 {
     // Usage = statically mapped flat entries for the RSS (the
     // touched footprint) + dynamic entries (Fig 12).
-    const std::uint64_t usage = footprintPages * flatEntryBytes +
+    const std::uint64_t usage = footprint_.size() * flatEntryBytes +
                                 devp_->store().dynamicBytes();
     runStats_.usageTimeline.emplace_back(insts, usage);
 }
 
 void
-System::clearStaged()
-{
-    stagedEvents_.clear();
-    stagedBoundaries_.clear();
-    stagedSamples_.clear();
-    stageRoundBase_ = 0;
-    replay_ = ReplayCursor{};
-}
-
-void
-System::runItemPrivate(const EpochPlanItem &item)
+System::runItemPrivate(EpochPlanItem &item)
 {
     switch (item.kind) {
       case EpochPlanItem::Kind::Run:
+        item.begin = staged_.size();
         stageRounds(item.rounds, item.measuring);
+        item.end = staged_.size();
         break;
       case EpochPlanItem::Kind::Reset:
         resetMeasurementPrivate();
@@ -660,15 +611,13 @@ System::runItemPrivate(const EpochPlanItem &item)
       case EpochPlanItem::Kind::Boundary:
         // Entirely shared work.
         break;
-      case EpochPlanItem::Kind::Sample: {
-        // Capture the private-side observables now; the shared half
-        // pairs them with the store's live dynamicBytes().
-        std::uint64_t insts = 0;
+      case EpochPlanItem::Kind::Sample:
+        // The instruction clocks are per-core and run ahead of the
+        // replay, so read them now; the shared half reads the rest.
+        item.insts = 0;
         for (unsigned c = 0; c < cfg_.numCores; ++c)
-            insts += coreInsts_[c];
-        stagedSamples_.push_back({insts, footprint_.size()});
+            item.insts += coreInsts_[c];
         break;
-      }
     }
 }
 
@@ -678,34 +627,19 @@ System::runItemShared(const EpochPlanItem &item)
     switch (item.kind) {
       case EpochPlanItem::Kind::Run: {
         const double t0 = benchNowNs(cfg_.phaseTimers);
-        // Linear scan over this item's slice of the staged logs.
-        // Both are (round, core)-ordered; within a round every shared
-        // event replays before any completion, so each boundary
-        // core's stall clock is final for that point in time.
-        const std::uint64_t end = replay_.round + item.rounds;
-        std::size_t ev = replay_.event;
-        std::size_t bd = replay_.boundary;
-        while (true) {
-            const bool haveEv = ev < stagedEvents_.size() &&
-                                stagedEvents_[ev].round < end;
-            const bool haveBd = bd < stagedBoundaries_.size() &&
-                                stagedBoundaries_[bd].round < end;
-            if (!haveEv && !haveBd)
-                break;
-            if (haveEv && (!haveBd || stagedEvents_[ev].round <=
-                                          stagedBoundaries_[bd].round)) {
-                const StagedSharedEvent &e = stagedEvents_[ev];
-                stepShared(e.core, e.addr, e.priv);
-                ++ev;
-            } else {
-                const StagedRequestBoundary &b = stagedBoundaries_[bd];
-                completeRequest(b.core, b.insts);
-                ++bd;
-            }
+        // One pass over this batch's slice, in (round, core) order.
+        // A step's completion follows its own event, so that core's
+        // stall clock is final for that point in time; completeRequest
+        // reads no other core's clock and stepShared no serving state,
+        // so every shared structure and every serving sum sees the
+        // order of the one-reference-at-a-time loop.
+        for (std::size_t i = item.begin; i < item.end; ++i) {
+            const StagedStep &step = staged_[i];
+            if (step.priv.needsShared())
+                stepShared(step.core, step.addr, step.priv);
+            if (step.doneInsts)
+                completeRequest(step.core, step.doneInsts);
         }
-        replay_.round = end;
-        replay_.event = ev;
-        replay_.boundary = bd;
         if (cfg_.phaseTimers)
             phases_.sharedNs += benchNowNs(true) - t0;
         break;
@@ -717,11 +651,9 @@ System::runItemShared(const EpochPlanItem &item)
       case EpochPlanItem::Kind::Boundary:
         epochBoundary();
         break;
-      case EpochPlanItem::Kind::Sample: {
-        const StagedSample &s = stagedSamples_[replay_.sample++];
-        recordTimelineSample(s.insts, s.footprintPages);
+      case EpochPlanItem::Kind::Sample:
+        recordTimelineSample(item.insts);
         break;
-      }
     }
 }
 
@@ -738,8 +670,8 @@ System::stepEpoch()
     // Each item's shared half right after its private half: the
     // staged log never holds more than one batch.
     const bool more = planEpoch();
-    for (const EpochPlanItem &item : plan_) {
-        clearStaged();
+    for (EpochPlanItem &item : plan_) {
+        staged_.clear();
         runItemPrivate(item);
         runItemShared(item);
     }
@@ -757,8 +689,8 @@ System::stepEpochPrivate()
             "replayEpochShared()");
 
     const bool more = planEpoch();
-    clearStaged();
-    for (const EpochPlanItem &item : plan_)
+    staged_.clear();
+    for (EpochPlanItem &item : plan_)
         runItemPrivate(item);
     pendingReplay_ = true;
     return more;

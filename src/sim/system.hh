@@ -34,6 +34,7 @@
 #include "secmem/engine.hh"
 #include "secmem/invisimem.hh"
 #include "secmem/merkle.hh"
+#include "sim/page_footprint.hh"
 #include "toleo/device.hh"
 #include "toleo/engine.hh"
 #include "workload/request.hh"
@@ -193,61 +194,6 @@ struct SimStats
 };
 
 /**
- * Dense two-level page bitmap tracking the set of pages ever touched
- * (the simulated RSS).  Replaces a std::unordered_set<PageNum> on the
- * per-reference hot path: membership insert is a directory index, a
- * bit test, and a branch-free count update -- no hashing, no node
- * allocation.  Leaves cover 32 K pages (128 MiB of address space)
- * and are allocated once on first touch, so the steady-state insert
- * is allocation-free.
- */
-class PageFootprint
-{
-  public:
-    void
-    insert(PageNum page)
-    {
-        const std::uint64_t leaf = page >> leafBits;
-        if (leaf >= dir_.size() || !dir_[leaf])
-            addLeaf(leaf);
-        std::uint64_t &word =
-            dir_[leaf][(page & leafMask) >> wordBits];
-        const std::uint64_t bit =
-            std::uint64_t{1} << (page & (wordSize - 1));
-        count_ += (word & bit) == 0;
-        word |= bit;
-    }
-
-    /** Number of distinct pages inserted, O(1). */
-    std::uint64_t size() const { return count_; }
-
-  private:
-    /** log2(pages per leaf): 32 K pages = 128 MiB of address space. */
-    static constexpr unsigned leafBits = 15;
-    static constexpr std::uint64_t leafMask =
-        (std::uint64_t{1} << leafBits) - 1;
-    static constexpr unsigned wordBits = 6;
-    static constexpr unsigned wordSize = 64;
-    static constexpr std::size_t wordsPerLeaf =
-        (std::size_t{1} << leafBits) / wordSize;
-
-    void
-    addLeaf(std::uint64_t leaf)
-    {
-        if (leaf >= dir_.size())
-            dir_.resize(leaf + 1);
-        if (!dir_[leaf]) {
-            // make_unique value-initializes: the leaf starts all-zero.
-            dir_[leaf] =
-                std::make_unique<std::uint64_t[]>(wordsPerLeaf);
-        }
-    }
-
-    std::vector<std::unique_ptr<std::uint64_t[]>> dir_;
-    std::uint64_t count_ = 0;
-};
-
-/**
  * Per-reference read-latency bookkeeping, kept as one plain struct
  * updated inline: the three averages (total / DRAM / metadata) are
  * always sampled together on an LLC miss, so a single counter and
@@ -315,13 +261,13 @@ class System
      * Rack-parallel split of stepEpoch(): the same per-item private
      * and shared halves, run in a different order.
      * stepEpochPrivate() runs the private half of every item of one
-     * epoch -- generator draws, L1/L2 accesses, footprint and
-     * serving-boundary staging -- and stages the shared work
-     * (L3/topology/engine/device events, the measurement reset, the
-     * epoch boundary, and timeline samples) as an ordered log.
-     * replayEpochShared() then runs every item's shared half over
-     * that log single-threaded, touching the shared device in the
-     * same order stepEpoch() does.
+     * epoch -- generator draws, L1/L2 accesses, and staging each
+     * batch's L3/memory/engine events and request completions into
+     * the staged log -- and leaves the rest of the shared work (the
+     * measurement reset, the epoch boundary, timeline samples) to
+     * the items' shared halves.  replayEpochShared() then runs every
+     * item's shared half single-threaded, touching the shared device
+     * in the same order stepEpoch() does.
      *
      *   stepEpochPrivate(); replayEpochShared();
      *
@@ -329,9 +275,8 @@ class System
      * lets a rack driver run the private halves of all nodes
      * concurrently (one thread per node) and serialize only the
      * replays in strict node order (sim/rack.cc).  The private half
-     * touches no state(shared) structure other than this node's own
-     * footprint set (node-local; see the allow() grants), so the
-     * phase-safety lint proves the decomposition statically.  The
+     * writes only per-core state, so the phase-safety lint proves
+     * the decomposition statically, with no exception granted.  The
      * staged log holds a whole epoch, so a serial driver should call
      * stepEpoch() instead.
      *
@@ -408,7 +353,9 @@ class System
     // toleo: state(shared)
     std::vector<double> coreStallNs_;
 
-    /** Pages touched by any reference (the simulated RSS). */
+    /** Pages touched by any reference (the simulated RSS), inserted
+     *  on LLC misses by the shared replay: a page's first reference
+     *  always misses every level. */
     // toleo: state(shared)
     PageFootprint footprint_;
     // toleo: state(shared)
@@ -449,16 +396,6 @@ class System
      * free of any synchronization.
      */
     std::unique_ptr<IntraPool> intraPool_;
-    /**
-     * Per-core staging for footprint_ inserts: the one shared touch
-     * in the private loop.  Each core appends its pages here (its own
-     * vector, no sharing), and stageRounds merges them into
-     * footprint_ serially in core order -- set insertion is
-     * order-insensitive, so the merged footprint is identical to
-     * inline inserts for any thread count.
-     */
-    // toleo: state(per-core)
-    std::vector<std::vector<PageNum>> footprintStage_;
 
     /** Phase wall-time accumulators (cfg_.phaseTimers only). */
     PhaseTimes phases_;
@@ -483,7 +420,7 @@ class System
         double lastDoneNs = 0.0; ///< completion of the latest request
         bool primed = false;     ///< first post-reset boundary seen
         std::vector<RequestBoundary> boundaries; ///< staged this batch
-        std::uint32_t pos = 0;   ///< finalize cursor into boundaries
+        std::uint32_t pos = 0;   ///< stageRounds merge cursor
     };
 
     /** Open-loop overlay active (cfg_.arrival.open()). */
@@ -557,6 +494,13 @@ class System
         bool measuring = false;
         /** Run only: rounds in the batch, at most batchRounds. */
         std::uint64_t rounds = 0;
+        /** Run only, set by the private half: the batch's slice
+         *  [begin, end) of staged_. */
+        std::size_t begin = 0;
+        std::size_t end = 0;
+        /** Sample only, set by the private half: the retired
+         *  instructions at the sample point. */
+        std::uint64_t insts = 0;
     };
     /** Plan the next epoch into plan_; @return stepEpoch()'s value. */
     bool planEpoch();
@@ -564,75 +508,52 @@ class System
     /** A staged epoch is awaiting replayEpochShared(). */
     bool pendingReplay_ = false;
 
-    /** One flattened shared-phase event: the (round, core)-ordered
-     *  stream runItemShared() feeds to stepShared, round-numbered
-     *  globally across the staged batches. */
-    struct StagedSharedEvent
+    /** One (round, core) step of the staged log: that core's shared
+     *  event (L3/memory/engine, when priv.needsShared()), its
+     *  measured request completion (doneInsts != 0), or both. */
+    struct StagedStep
     {
-        std::uint64_t round;
         std::uint32_t core;
         Addr addr;
         PrivateAccessResult priv;
+        /** Retired insts at the completion, or 0 for none (a
+         *  completion retires at least its own reference). */
+        std::uint64_t doneInsts;
     };
-    /** One staged request completion ((round, core)-ordered). */
-    struct StagedRequestBoundary
-    {
-        std::uint64_t round;
-        std::uint32_t core;
-        std::uint64_t insts;
-    };
-    /** Stage-time half of one timeline sample; the device-side
-     *  dynamicBytes() is read by the shared half, when the shared
-     *  store has seen every earlier item's shared work. */
-    struct StagedSample
-    {
-        std::uint64_t insts;
-        std::uint64_t footprintPages;
-    };
-    std::vector<StagedSharedEvent> stagedEvents_;
-    std::vector<StagedRequestBoundary> stagedBoundaries_;
-    std::vector<StagedSample> stagedSamples_;
-    /** Global round counter across the staged batches. */
-    std::uint64_t stageRoundBase_ = 0;
-    /** Where the next shared half reads the staged logs. */
-    struct ReplayCursor
-    {
-        std::size_t event = 0;
-        std::size_t boundary = 0;
-        std::size_t sample = 0;
-        std::uint64_t round = 0; ///< first round of the next Run item
-    };
-    ReplayCursor replay_;
-    /** Empty the staged logs and rewind both cursors. */
-    void clearStaged();
-    /** Private half of one item: stage its shared work. */
+    /** The staged Run items' steps, in (round, core) order. */
+    std::vector<StagedStep> staged_;
+    /** Private half of one item: stage its shared work into staged_
+     *  and record the item's slice (Run) or insts (Sample). */
     // toleo: phase(private)
-    void runItemPrivate(const EpochPlanItem &item);
-    /** Shared half of one item, read from the staged logs. */
+    void runItemPrivate(EpochPlanItem &item);
+    /** Shared half of one item, read from what its private half
+     *  recorded. */
     // toleo: phase(shared)
     void runItemShared(const EpochPlanItem &item);
 
-    /** Shared-state part of one reference: L3, memory, engine. */
+    /** Shared-state part of one reference: L3, memory, engine, and
+     *  the footprint insert on an LLC miss. */
     // toleo: phase(shared)
     void stepShared(unsigned core, Addr addr,
                     const PrivateAccessResult &priv);
     /**
      * Run one batch of @p rounds (<= batchRounds) rounds of one
      * reference per core: the core-private work (generator draws and
-     * L1/L2) per core, then flatten the per-core event queues (and,
-     * when measuring, the request boundaries) into the
-     * (round, core)-ordered logs above, in the round-robin global
-     * order of a one-reference-at-a-time loop.  The planner sizes
-     * @p rounds so no epoch boundary or timeline sample falls inside
-     * a batch.  @p measuring is its snapshot of the measurement flag.
+     * L1/L2) per core, then merge the per-core event queues (and,
+     * when measuring, the request completions) into staged_, one
+     * step per (round, core) with any shared work, in the
+     * round-robin global order of a one-reference-at-a-time loop.
+     * The planner sizes @p rounds so no epoch boundary or timeline
+     * sample falls inside a batch.  @p measuring is its snapshot of
+     * the measurement flag.
      */
     // toleo: phase(private)
     void stageRounds(std::uint64_t rounds, bool measuring);
     /**
      * Core-private body of one batch for one core: generator draw,
-     * L1/L2 accesses, shared-event queueing, and footprint staging.
-     * Touches only core-indexed state, so stageRounds may run it for
-     * different cores concurrently.
+     * L1/L2 accesses, shared-event queueing, and request-boundary
+     * staging.  Touches only core-indexed state, so stageRounds may
+     * run it for different cores concurrently.
      */
     // toleo: phase(private)
     void privateCore(unsigned core, std::uint64_t rounds);
@@ -652,12 +573,12 @@ class System
     void resetMeasurementPrivate();
     // toleo: phase(shared)
     void resetMeasurementShared();
-    /** Append one usage-timeline point (Fig 12); reads the shared
-     *  store's dynamic bytes live, so the shared half calls it with
-     *  stage-captured insts/footprint. */
+    /** Append one usage-timeline point (Fig 12) at @p insts retired
+     *  instructions; reads the footprint and the store's dynamic
+     *  bytes live, which every earlier item's shared half has
+     *  updated by then. */
     // toleo: phase(shared)
-    void recordTimelineSample(std::uint64_t insts,
-                              std::uint64_t footprintPages);
+    void recordTimelineSample(std::uint64_t insts);
     /** Close the current traffic epoch (padding, bandwidth floor). */
     // toleo: phase(shared)
     void epochBoundary();

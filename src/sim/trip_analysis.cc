@@ -2,9 +2,9 @@
 
 #include <memory>
 #include <sstream>
-#include <unordered_set>
 
 #include "cache/set_assoc.hh"
+#include "sim/page_footprint.hh"
 #include "workload/workload.hh"
 
 namespace toleo {
@@ -43,7 +43,7 @@ runTripAnalysis(const TripAnalysisConfig &cfg)
     for (unsigned c = 0; c < cfg.cores; ++c)
         gens.push_back(makeWorkload(cfg.workload, c, cfg.seed));
 
-    std::unordered_set<PageNum> footprint;
+    PageFootprint footprint;
 
     TripAnalysisResult res;
     res.workload = cfg.workload;

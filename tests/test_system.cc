@@ -7,10 +7,15 @@
  * Uses few cores / short windows so the suite stays fast.
  */
 
+#include <cstdio>
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/system.hh"
 #include "sim/trip_analysis.hh"
+#include "workload/trace_file.hh"
 
 using namespace toleo;
 
@@ -155,6 +160,70 @@ TEST(System, ToleoUsageTimelineMonotoneFootprint)
         EXPECT_GE(st.usageTimeline[i].second,
                   st.usageTimeline[i - 1].second);
     EXPECT_GT(st.toleoPeakUsageBytes, 0u);
+}
+
+TEST(System, FootprintCountsEveryDistinctCapturedPage)
+{
+    // Two streams of three passes over 400 pages each: stream 0 pages
+    // [0, 400), stream 1 pages [200, 600), so 200 pages are shared
+    // and 600 are distinct -- above bsw's declared 2 x 200 pages, so
+    // the reported RSS is the touched set itself.  Every fifth page's
+    // first touch is a store.  The first pass is the warmup; pages
+    // ending in 3 are touched only there (the RSS accumulates from
+    // process start).  The second pass revisits pages at another
+    // block, the third repeats the first pass's blocks.
+    constexpr unsigned passPages = 400;
+    constexpr unsigned passes = 3;
+    const Addr base = Addr{1} << 32;
+    TraceWriter writer(2, "bsw", 0);
+    std::set<PageNum> distinct;
+    for (unsigned stream = 0; stream < 2; ++stream) {
+        std::vector<MemRef> refs;
+        for (unsigned i = 0; i < passPages * passes; ++i) {
+            const unsigned pass = i / passPages;
+            PageNum page = stream * 200 + (i * 7) % passPages;
+            if (pass > 0 && page % 10 == 3)
+                --page;
+            const unsigned block = pass == 1 ? 13 : 0;
+            MemRef ref;
+            ref.addr = base + page * pageSize + block * blockSize;
+            ref.isWrite = pass == 0 && page % 5 == 0;
+            ref.instGap = i % 4;
+            refs.push_back(ref);
+            distinct.insert(pageOf(ref.addr));
+        }
+        writer.append(stream, refs.data(), refs.size());
+    }
+    ASSERT_EQ(distinct.size(), 600u);
+    const std::string path =
+        ::testing::TempDir() + "system_footprint.trc";
+    writer.writeTo(path);
+
+    SystemConfig cfg = makeScaledConfig("bsw", EngineKind::Toleo, 2);
+    cfg.epochRefs = 512;
+    cfg.tracePath = path;
+    // Replay exactly the captured window: warmup + measure = one lap.
+    const std::uint64_t warmup = passPages;
+    const std::uint64_t measure = passPages * passes - warmup;
+    const auto rss = [](const SimStats &st) {
+        return st.trip.flat + st.trip.uneven + st.trip.full;
+    };
+
+    System serial(cfg);
+    const SimStats a = serial.run(warmup, measure);
+    EXPECT_EQ(rss(a), distinct.size());
+
+    System staged(cfg);
+    staged.beginRun(warmup, measure);
+    bool more = true;
+    while (more) {
+        more = staged.stepEpochPrivate();
+        staged.replayEpochShared();
+    }
+    const SimStats b = staged.finishRun();
+    EXPECT_EQ(rss(b), distinct.size());
+    EXPECT_EQ(statsToJson(a).dump(), statsToJson(b).dump());
+    std::remove(path.c_str());
 }
 
 TEST(System, MerkleWorseThanToleo)
