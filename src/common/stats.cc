@@ -2,68 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-
-#include "common/logging.hh"
 
 namespace toleo {
-
-Histogram::Histogram(double lo, double hi, unsigned buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / buckets), buckets_(buckets, 0)
-{
-    if (hi <= lo || buckets == 0)
-        panic("Histogram: invalid range or bucket count");
-}
-
-void
-Histogram::sample(double v)
-{
-    ++total_;
-    if (v < lo_) {
-        ++underflow_;
-    } else if (v >= hi_) {
-        ++overflow_;
-    } else {
-        auto b = static_cast<unsigned>((v - lo_) / width_);
-        if (b >= buckets_.size())
-            b = buckets_.size() - 1;
-        ++buckets_[b];
-    }
-}
-
-double
-Histogram::percentile(double p) const
-{
-    if (total_ == 0)
-        return 0.0;
-    // Clamp before the float->unsigned conversion: p outside [0, 1]
-    // is a caller bug, but it must degrade to the nearest edge, not
-    // to UB.
-    const double frac = std::min(1.0, std::max(0.0, p));
-    // Exact nearest-rank counting: report the value holding 1-based
-    // rank ceil(p * total).  The old form truncated the rank and
-    // compared with ">", which mis-ranked small sample counts (a
-    // 1-sample histogram returned hi_ for p = 1.0).
-    const auto rank = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               std::ceil(frac * static_cast<double>(total_))));
-    std::uint64_t seen = underflow_;
-    if (seen >= rank)
-        return lo_;
-    for (unsigned b = 0; b < buckets_.size(); ++b) {
-        seen += buckets_[b];
-        if (seen >= rank)
-            return lo_ + (b + 0.5) * width_;
-    }
-    return hi_;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = overflow_ = total_ = 0;
-}
 
 unsigned
 LatencyHistogram::bucketIndex(std::uint64_t ns)
@@ -175,46 +115,11 @@ StatGroup::counter(const std::string &name)
     return counters_[name];
 }
 
-Accumulator &
-StatGroup::accumulator(const std::string &name)
-{
-    return accumulators_[name];
-}
-
-double
-StatGroup::ratio(const std::string &num, const std::string &den) const
-{
-    auto n = counters_.find(num);
-    auto d = counters_.find(den);
-    if (n == counters_.end() || d == counters_.end())
-        return 0.0;
-    if (d->second.value() == 0)
-        return 0.0;
-    return static_cast<double>(n->second.value()) /
-           static_cast<double>(d->second.value());
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    os << "=== " << name_ << " ===\n";
-    for (const auto &[name, c] : counters_)
-        os << "  " << std::left << std::setw(32) << name << c.value()
-           << "\n";
-    for (const auto &[name, a] : accumulators_) {
-        os << "  " << std::left << std::setw(32) << name
-           << "count=" << a.count() << " mean=" << a.mean()
-           << " min=" << a.min() << " max=" << a.max() << "\n";
-    }
-}
-
 void
 StatGroup::reset()
 {
     for (auto &[name, c] : counters_)
         c.reset();
-    for (auto &[name, a] : accumulators_)
-        a.reset();
 }
 
 } // namespace toleo

@@ -2,10 +2,9 @@
  * @file
  * Minimal statistics framework in the spirit of gem5's Stats package.
  *
- * Components register named Counter / Scalar / Histogram objects with a
- * StatGroup; the simulation driver dumps all groups at the end of a
- * run.  Keeping stats first-class (rather than ad-hoc member ints)
- * makes every bench and test read the same numbers the paper reports.
+ * Components register named Counters with a StatGroup and read them
+ * back by name; the open-loop serving layer keeps per-request
+ * latencies in a LatencyHistogram and reports them as ServingStats.
  */
 
 #ifndef TOLEO_COMMON_STATS_HH
@@ -14,9 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
-#include <vector>
 
 namespace toleo {
 
@@ -31,67 +28,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** Accumulates samples; reports count / sum / mean / min / max. */
-class Accumulator
-{
-  public:
-    /** Inline: sampled on hot per-event paths throughout the model. */
-    void
-    sample(double v)
-    {
-        if (count_ == 0) {
-            min_ = max_ = v;
-        } else {
-            min_ = min_ < v ? min_ : v;
-            max_ = max_ > v ? max_ : v;
-        }
-        ++count_;
-        sum_ += v;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    void
-    reset()
-    {
-        count_ = 0;
-        sum_ = min_ = max_ = 0.0;
-    }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/** Fixed-bucket linear histogram over [lo, hi). */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, unsigned buckets);
-
-    void sample(double v);
-    std::uint64_t bucketCount(unsigned b) const { return buckets_.at(b); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t totalSamples() const { return total_; }
-    unsigned numBuckets() const { return buckets_.size(); }
-    double percentile(double p) const;
-    void reset();
-
-  private:
-    double lo_, hi_, width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 /**
@@ -201,8 +137,8 @@ struct ServingStats
 };
 
 /**
- * Named collection of statistics.  Components own a StatGroup and
- * register their counters; dump() pretty-prints everything.
+ * Named collection of counters.  Components own a StatGroup and
+ * register their counters by name.
  */
 class StatGroup
 {
@@ -210,19 +146,13 @@ class StatGroup
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
 
     Counter &counter(const std::string &name);
-    Accumulator &accumulator(const std::string &name);
 
     const std::string &name() const { return name_; }
-    void dump(std::ostream &os) const;
     void reset();
-
-    /** Ratio of two registered counters (0 if denominator is 0). */
-    double ratio(const std::string &num, const std::string &den) const;
 
   private:
     std::string name_;
     std::map<std::string, Counter> counters_;
-    std::map<std::string, Accumulator> accumulators_;
 };
 
 } // namespace toleo

@@ -119,17 +119,10 @@ System::System(const SystemConfig &cfg)
     } else {
         for (unsigned c = 0; c < cfg.numCores; ++c)
             gens_.push_back(makeWorkload(cfg.workload, c, cfg.seed));
-        if (!cfg.recordTracePath.empty()) {
-            traceWriter_ = std::make_unique<TraceWriter>(
-                cfg.numCores, cfg.workload, cfg.seed);
-            for (unsigned c = 0; c < cfg.numCores; ++c)
-                gens_[c] = std::make_unique<RecordingTraceGen>(
-                    std::move(gens_[c]), *traceWriter_, c);
-        }
     }
 
     // Open-loop serving overlay: wrap every generator in a
-    // RequestSource that tracks request boundaries.  The wrapper
+    // RequestSource so the stream carries request ends.  The wrapper
     // forwards draws unchanged and the arrival process never feeds
     // back into simulated state, so every non-serving statistic is
     // bit-identical to the closed-loop run of the same config.
@@ -148,19 +141,12 @@ System::System(const SystemConfig &cfg)
         if (cfg.arrival.requestRefs == 0)
             throw std::invalid_argument(
                 "System: arrival.requestRefs must be >= 1");
-        if (!cfg.recordTracePath.empty())
-            throw std::invalid_argument(
-                "System: record the trace under the closed arrival "
-                "model and replay it open-loop instead");
         sloNs_ = cfg.arrival.sloUs * 1000.0;
         perCoreRate_ = cfg.arrival.ratePerSec / cfg.numCores;
-        reqSrcs_.resize(cfg.numCores);
         servCores_.resize(cfg.numCores);
         for (unsigned c = 0; c < cfg.numCores; ++c) {
-            auto src = std::make_unique<RequestSource>(
+            gens_[c] = std::make_unique<RequestSource>(
                 std::move(gens_[c]), cfg.arrival.requestRefs);
-            reqSrcs_[c] = src.get();
-            gens_[c] = std::move(src);
             // Dedicated stream, decorrelated from the workload draws:
             // the arrival process must not mirror or perturb them.
             servCores_[c].rng =
@@ -168,6 +154,16 @@ System::System(const SystemConfig &cfg)
                     (static_cast<std::uint64_t>(c) *
                      0x9e3779b97f4a7c15ULL));
         }
+    }
+
+    // Capture outermost, so the trace holds the raw draws under any
+    // arrival model.
+    if (!cfg.recordTracePath.empty()) {
+        traceWriter_ = std::make_unique<TraceWriter>(
+            cfg.numCores, cfg.workload, cfg.seed);
+        for (unsigned c = 0; c < cfg.numCores; ++c)
+            gens_[c] = std::make_unique<RecordingTraceGen>(
+                std::move(gens_[c]), *traceWriter_, c);
     }
 
     coreInsts_.assign(cfg.numCores, 0);
@@ -249,7 +245,8 @@ System::stepShared(unsigned core, Addr addr,
 }
 
 void
-System::privateCore(unsigned core, std::uint64_t rounds)
+System::privateCore(unsigned core, std::uint64_t rounds,
+                    bool completions)
 {
     // Pull the probed L1/L2 set blocks a few references ahead of the
     // access loop; the draws below give the addresses up front.
@@ -259,7 +256,7 @@ System::privateCore(unsigned core, std::uint64_t rounds)
     SharedEvent *evs = &evBuf_[core * batchRounds];
     gens_[core]->nextBatch(refs, rounds);
     std::uint32_t nev = 0;
-    std::uint64_t insts = 0;
+    std::uint64_t insts = coreInsts_[core];
     for (std::uint64_t k = 0; k < rounds; ++k) {
         const MemRef &ref = refs[k];
         insts += ref.instGap + 1;
@@ -269,36 +266,19 @@ System::privateCore(unsigned core, std::uint64_t rounds)
         }
         const PrivateAccessResult priv = hierarchy_.accessPrivate(
             core, blockOf(ref.addr), ref.isWrite);
-        if (priv.needsShared()) {
+        // A request ends after its last reference retires.
+        const std::uint64_t done =
+            completions && ref.endsRequest ? insts : 0;
+        if (priv.needsShared() || done) {
             evs[nev].round = static_cast<std::uint32_t>(k);
             evs[nev].priv = priv;
+            evs[nev].doneInsts = done;
             ++nev;
         }
     }
     evCount_[core] = nev;
     evPos_[core] = 0;
-    if (serving_) {
-        // Stage this batch's request boundaries (round index plus the
-        // absolute retired-instruction count at completion) for the
-        // shared phase to time-stamp.  A post-loop pass over the
-        // already-drawn refs keeps the hot loop above untouched; the
-        // state is all core-local, so the intra pool needs no
-        // synchronization.
-        auto &sv = servCores_[core];
-        sv.boundaries.clear();
-        sv.pos = 0;
-        const auto &marks = reqSrcs_[core]->batchBoundaries();
-        if (!marks.empty()) {
-            std::uint64_t cum = coreInsts_[core];
-            std::uint64_t next = 0;
-            for (const std::uint32_t m : marks) {
-                for (; next <= m; ++next)
-                    cum += refs[next].instGap + 1;
-                sv.boundaries.push_back({m, cum});
-            }
-        }
-    }
-    coreInsts_[core] += insts;
+    coreInsts_[core] = insts;
 }
 
 void
@@ -312,45 +292,36 @@ System::stageRounds(std::uint64_t rounds, bool measuring)
     // are exactly those of a one-reference-at-a-time loop; the
     // cores' structures are mutually disjoint, so running them
     // concurrently (static striping, pure function of core id and
-    // thread count) cannot reorder anything observable.
+    // thread count) cannot reorder anything observable.  Warmup
+    // completions are not staged: warmup requests are ignored.
+    const bool completions = serving_ && measuring;
     if (intraPool_) {
-        intraPool_->run(cores, [this, rounds](unsigned c) {
-            privateCore(c, rounds);
+        intraPool_->run(cores, [this, rounds, completions](unsigned c) {
+            privateCore(c, rounds, completions);
         });
     } else {
         for (unsigned c = 0; c < cores; ++c)
-            privateCore(c, rounds);
+            privateCore(c, rounds, completions);
     }
 
     // Merge the per-core queues into the staged log in round-robin
     // global order: every round's shared work (L3 slices, memory
-    // topology, protection engine) in core order, so the replay
-    // feeds each shared structure the exact operation sequence of
-    // the one-reference-at-a-time loop.  Each core's queues are
-    // already round-ordered (a request ends at most once per round),
-    // so this is an n-way merge on the round index.  Warmup
-    // completions are not staged: warmup requests are ignored.
-    const bool completions = serving_ && measuring;
+    // topology, protection engine) and request completions in core
+    // order, so the replay feeds each shared structure the exact
+    // operation sequence of the one-reference-at-a-time loop.  Each
+    // core's queue is already round-ordered, so this is an n-way
+    // merge on the round index.
     for (std::uint64_t k = 0; k < rounds; ++k) {
         for (unsigned c = 0; c < cores; ++c) {
-            const SharedEvent *ev = nullptr;
             const std::uint32_t pos = evPos_[c];
-            if (pos < evCount_[c] &&
-                evBuf_[c * batchRounds + pos].round == k) {
-                ev = &evBuf_[c * batchRounds + pos];
-                evPos_[c] = pos + 1;
-            }
-            std::uint64_t done = 0;
-            if (completions) {
-                auto &sv = servCores_[c];
-                if (sv.pos < sv.boundaries.size() &&
-                    sv.boundaries[sv.pos].round == k)
-                    done = sv.boundaries[sv.pos++].insts;
-            }
-            if (ev || done)
-                staged_.push_back({c, refBuf_[c * batchRounds + k].addr,
-                                   ev ? ev->priv : PrivateAccessResult{},
-                                   done});
+            if (pos == evCount_[c])
+                continue;
+            const SharedEvent &ev = evBuf_[c * batchRounds + pos];
+            if (ev.round != k)
+                continue;
+            evPos_[c] = pos + 1;
+            staged_.push_back({c, refBuf_[c * batchRounds + k].addr,
+                               ev.priv, ev.doneInsts});
         }
     }
 
@@ -361,8 +332,8 @@ System::stageRounds(std::uint64_t rounds, bool measuring)
 void
 System::completeRequest(unsigned core, std::uint64_t instsAtDone)
 {
-    // Only measured boundaries reach here (stageRounds drops warmup
-    // ones); the first after the stats reset only primes the
+    // Only measured request ends reach here (stageRounds stages none
+    // during warmup); the first after the stats reset only primes the
     // service-time mark (the request it closes spans the reset, so
     // its duration is not a full request's).
     auto &sv = servCores_[core];
@@ -415,7 +386,7 @@ void
 System::resetMeasurementPrivate()
 {
     // Per-core half only: the instruction clocks feed the private
-    // phase's serving-boundary staging, so they must be zeroed at the
+    // phase's completion staging, so they must be zeroed at the
     // reset's position in the *private* pass.  Everything the shared
     // replay owns resets in resetMeasurementShared().
     hierarchy_.resetStatsPrivate();

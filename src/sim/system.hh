@@ -196,8 +196,8 @@ struct SimStats
 /**
  * Per-reference read-latency bookkeeping, kept as one plain struct
  * updated inline: the three averages (total / DRAM / metadata) are
- * always sampled together on an LLC miss, so a single counter and
- * three running sums replace three Accumulator calls.
+ * always sampled together on an LLC miss, so one sample counter and
+ * three running sums hold them.
  */
 struct ReadLatencyStats
 {
@@ -262,10 +262,11 @@ class System
      * and shared halves, run in a different order.
      * stepEpochPrivate() runs the private half of every item of one
      * epoch -- generator draws, L1/L2 accesses, and staging each
-     * batch's L3/memory/engine events and request completions into
-     * the staged log -- and leaves the rest of the shared work (the
-     * measurement reset, the epoch boundary, timeline samples) to
-     * the items' shared halves.  replayEpochShared() then runs every
+     * batch's L3/memory/engine events and the request completions
+     * its references flag into the staged log -- and leaves the rest
+     * of the shared work (the measurement reset, the epoch boundary,
+     * timeline samples, and every serving-overlay update) to the
+     * items' shared halves.  replayEpochShared() then runs every
      * item's shared half single-threaded, touching the shared device
      * in the same order stepEpoch() does.
      *
@@ -372,14 +373,19 @@ class System
     // toleo: state(per-core)
     std::vector<MemRef> refBuf_;
 
-    /** One queued piece of shared work (L3/memory/engine). */
+    /** One queued step of one core: shared work (L3/memory/engine,
+     *  when priv.needsShared()), a measured request completion
+     *  (doneInsts != 0), or both. */
     struct SharedEvent
     {
         std::uint32_t round;
         PrivateAccessResult priv;
+        /** Retired insts at the completion, or 0 for none. */
+        std::uint64_t doneInsts;
     };
-    /** Per-core queues of shared events, in increasing round order;
-     *  most references are served privately and queue nothing. */
+    /** Per-core step queues, in increasing round order; most
+     *  references are served privately, end no request, and queue
+     *  nothing. */
     // toleo: state(per-core)
     std::vector<SharedEvent> evBuf_;
     // toleo: state(per-core)
@@ -400,36 +406,28 @@ class System
     /** Phase wall-time accumulators (cfg_.phaseTimers only). */
     PhaseTimes phases_;
 
-    /** One request completion staged by privateCore for one batch. */
-    struct RequestBoundary
-    {
-        std::uint32_t round; ///< batch-relative round index
-        std::uint64_t insts; ///< absolute retired insts at completion
-    };
     /**
-     * Per-core open-loop serving state.  Service times come from the
-     * closed-loop execution (core-time delta between request
-     * boundaries); arrivals come from a dedicated seeded Rng; latency
-     * follows the Lindley recursion start = max(arrival, prevDone).
+     * Per-core open-loop serving state, written only by the shared
+     * replay (completeRequest) and the measurement reset.  Service
+     * times come from the closed-loop execution (core-time delta
+     * between request ends); arrivals come from a dedicated seeded
+     * Rng; latency follows the Lindley recursion
+     * start = max(arrival, prevDone).
      */
     struct ServingCore
     {
         Rng rng{0};              ///< arrival-process draws
-        double lastMarkNs = 0.0; ///< core time at the last boundary
+        double lastMarkNs = 0.0; ///< core time at the last request end
         double arrivalNs = 0.0;  ///< arrival time of the latest request
         double lastDoneNs = 0.0; ///< completion of the latest request
-        bool primed = false;     ///< first post-reset boundary seen
-        std::vector<RequestBoundary> boundaries; ///< staged this batch
-        std::uint32_t pos = 0;   ///< stageRounds merge cursor
+        bool primed = false;     ///< first post-reset request end seen
     };
 
     /** Open-loop overlay active (cfg_.arrival.open()). */
     bool serving_ = false;
     double sloNs_ = 0.0;
     double perCoreRate_ = 0.0;
-    // toleo: state(per-core)
-    std::vector<RequestSource *> reqSrcs_; ///< borrowed views of gens_
-    // toleo: state(per-core)
+    // toleo: state(shared)
     std::vector<ServingCore> servCores_;
     // toleo: state(shared)
     LatencyHistogram servLatency_;
@@ -539,24 +537,28 @@ class System
     /**
      * Run one batch of @p rounds (<= batchRounds) rounds of one
      * reference per core: the core-private work (generator draws and
-     * L1/L2) per core, then merge the per-core event queues (and,
-     * when measuring, the request completions) into staged_, one
-     * step per (round, core) with any shared work, in the
+     * L1/L2) per core, then merge the per-core step queues into
+     * staged_ with one cursor per core, one step per (round, core)
+     * with shared work or a measured request completion, in the
      * round-robin global order of a one-reference-at-a-time loop.
      * The planner sizes @p rounds so no epoch boundary or timeline
      * sample falls inside a batch.  @p measuring is its snapshot of
-     * the measurement flag.
+     * the measurement flag; completions are staged only while
+     * measuring an open-loop run.
      */
     // toleo: phase(private)
     void stageRounds(std::uint64_t rounds, bool measuring);
     /**
      * Core-private body of one batch for one core: generator draw,
-     * L1/L2 accesses, shared-event queueing, and request-boundary
-     * staging.  Touches only core-indexed state, so stageRounds may
-     * run it for different cores concurrently.
+     * L1/L2 accesses, and queueing each reference's shared work and,
+     * when @p completions, the retired-instruction count at every
+     * reference flagged MemRef::endsRequest, in one entry of the
+     * core's step queue.  Touches only core-indexed state, so
+     * stageRounds may run it for different cores concurrently.
      */
     // toleo: phase(private)
-    void privateCore(unsigned core, std::uint64_t rounds);
+    void privateCore(unsigned core, std::uint64_t rounds,
+                     bool completions);
     double coreTimeNs(unsigned core) const;
     double maxCoreTimeNs() const;
     /** Lindley-recursion completion of one measured request on

@@ -76,7 +76,6 @@ ToleoDevice::update(BlockNum blk)
         if (spaceExhausted())
             ++spaceRejectionsCtr_;
     }
-    notePeak();
     return res;
 }
 
@@ -124,34 +123,6 @@ ToleoDevice::usageBytes() const
 {
     return store_.touchedPages() * flatEntryBytes +
            store_.dynamicBytes();
-}
-
-void
-ToleoDevice::notePeak()
-{
-    const std::uint64_t u = usageBytes();
-    if (u > peakUsage_)
-        peakUsage_ = u;
-}
-
-ToleoDevice::UsagePerTb
-ToleoDevice::usagePerTbProtected() const
-{
-    UsagePerTb out;
-    const auto b = store_.breakdown();
-    const std::uint64_t touched = store_.touchedPages();
-    if (touched == 0)
-        return out;
-    const double pages_per_tb =
-        1e12 / static_cast<double>(pageSize);
-    const double f_uneven =
-        static_cast<double>(b.uneven) / static_cast<double>(touched);
-    const double f_full =
-        static_cast<double>(b.full) / static_cast<double>(touched);
-    out.flatGb = pages_per_tb * flatEntryBytes / 1e9;
-    out.unevenGb = pages_per_tb * f_uneven * unevenEntryBytes / 1e9;
-    out.fullGb = pages_per_tb * f_full * fullEntryAllocBytes / 1e9;
-    return out;
 }
 
 } // namespace toleo

@@ -89,11 +89,10 @@ class ToleoDevice
      * the quantity Figure 12 plots over time.
      */
     std::uint64_t usageBytes() const;
-    std::uint64_t peakUsageBytes() const { return peakUsage_; }
 
     /**
-     * Peak usage normalized per TB of protected data (Figure 11),
-     * split by entry kind.  Derived from the touched footprint's
+     * Usage normalized per TB of protected data (Figure 11), split by
+     * entry kind; System::finishRun fills it from the RSS's
      * Trip-format fractions.
      */
     struct UsagePerTb
@@ -103,7 +102,6 @@ class ToleoDevice
         double fullGb = 0.0;
         double totalGb() const { return flatGb + unevenGb + fullGb; }
     };
-    UsagePerTb usagePerTbProtected() const;
 
     /**
      * Multi-initiator support (rack mode, Figure 1): one device
@@ -175,9 +173,6 @@ class ToleoDevice
     Counter &spaceRejectionsCtr_;
     Counter &resetReqsCtr_;
 
-    // toleo: state(shared)
-    std::uint64_t peakUsage_ = 0;
-
     struct Initiator
     {
         std::uint64_t epochReqs = 0;
@@ -216,8 +211,6 @@ class ToleoDevice
         ++ini.epochReqs;
         ++ini.totalReqs;
     }
-
-    void notePeak();
 };
 
 } // namespace toleo

@@ -153,7 +153,7 @@ MixWorkload::addrFor(StreamState &st)
 }
 
 MemRef
-MixWorkload::next()
+MixWorkload::draw()
 {
     // Weighted random stream selection.
     const double draw = rng_.nextDouble() * totalWeight_;
@@ -175,10 +175,9 @@ MixWorkload::next()
 void
 MixWorkload::nextBatch(MemRef *out, std::size_t n)
 {
-    // Qualified call: one virtual dispatch per batch, and the
-    // generator loop inlines into a single hot function.
+    // One virtual dispatch per batch; draw() inlines into this loop.
     for (std::size_t i = 0; i < n; ++i)
-        out[i] = MixWorkload::next();
+        out[i] = draw();
 }
 
 } // namespace toleo

@@ -95,7 +95,6 @@ class MixWorkload : public TraceGen
     MixWorkload(WorkloadInfo info, MixSpec spec, unsigned core,
                 std::uint64_t seed);
 
-    MemRef next() override;
     void nextBatch(MemRef *out, std::size_t n) override;
 
   private:
@@ -113,12 +112,14 @@ class MixWorkload : public TraceGen
     MixSpec spec_;
     std::vector<StreamState> streams_;
     std::vector<double> cumWeight_;
-    /** Hoisted per-reference constants (see next()). */
+    /** Hoisted per-reference constants (see draw()). */
     double totalWeight_ = 0.0;
     std::uint64_t gapLo_ = 0;
     std::uint64_t gapHi_ = 0;
     Rng rng_;
 
+    /** One reference: stream selection, address, store, and gap. */
+    MemRef draw();
     Addr addrFor(StreamState &st);
 };
 

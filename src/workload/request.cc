@@ -1,6 +1,5 @@
 #include "workload/request.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -137,44 +136,29 @@ drawInterarrivalNs(const ArrivalConfig &cfg, double ratePerSec, Rng &rng)
 RequestSource::RequestSource(std::unique_ptr<TraceGen> inner,
                              std::uint64_t requestRefs)
     : TraceGen(inner->info()), inner_(std::move(inner)),
-      shaped_(dynamic_cast<RequestShapedGen *>(inner_.get())),
-      fixedRefs_(requestRefs)
+      fixedRefs_(requestRefs), leftInRequest_(requestRefs)
 {
-    if (!shaped_ && fixedRefs_ == 0)
+    if (dynamic_cast<RequestShapedGen *>(inner_.get()))
+        fixedRefs_ = 0; // the generator flags its own request ends
+    else if (fixedRefs_ == 0)
         panic("RequestSource: requestRefs must be >= 1");
-}
-
-MemRef
-RequestSource::next()
-{
-    if (leftInRequest_ == 0)
-        leftInRequest_ = shaped_ ? shaped_->nextRequestLen() : fixedRefs_;
-    --leftInRequest_;
-    return inner_->next();
 }
 
 void
 RequestSource::nextBatch(MemRef *out, std::size_t n)
 {
-    boundaries_.clear();
-    std::size_t filled = 0;
-    while (filled < n) {
-        if (leftInRequest_ == 0) {
-            leftInRequest_ =
-                shaped_ ? shaped_->nextRequestLen() : fixedRefs_;
-            if (leftInRequest_ == 0)
-                panic("RequestSource: generator planned an empty "
-                      "request");
-        }
-        const std::size_t take = static_cast<std::size_t>(std::min<
-            std::uint64_t>(n - filled, leftInRequest_));
-        inner_->nextBatch(out + filled, take);
-        filled += take;
-        leftInRequest_ -= take;
-        if (leftInRequest_ == 0)
-            boundaries_.push_back(
-                static_cast<std::uint32_t>(filled - 1));
+    inner_->nextBatch(out, n);
+    if (fixedRefs_ == 0)
+        return;
+    // Flag the end of every request that completes in this batch; the
+    // inner generator left every other flag false.
+    std::size_t i = 0;
+    while (leftInRequest_ <= n - i) {
+        i += static_cast<std::size_t>(leftInRequest_);
+        out[i - 1].endsRequest = true;
+        leftInRequest_ = fixedRefs_;
     }
+    leftInRequest_ -= n - i;
 }
 
 } // namespace toleo

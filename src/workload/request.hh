@@ -1,20 +1,21 @@
 /**
  * @file
  * Open-loop request layer: arrival models and the RequestSource
- * wrapper that groups a generator's MemRef stream into requests.
+ * wrapper that marks where requests end in a generator's MemRef
+ * stream.
  *
  * The closed-loop replay core stays untouched: a RequestSource
- * delegates every draw to the wrapped generator (the emitted reference
- * stream is bit-identical to the unwrapped generator), and merely
- * tracks where request boundaries fall within each batch.  The System
- * consumes those boundaries to measure per-request service time and
- * runs the arrival process as a timing overlay — so the `closed`
- * arrival model is the degenerate case with no wrapper at all, and
- * every existing fixed-seed output is trivially preserved.
+ * delegates every draw to the wrapped generator (addresses, stores and
+ * gaps are bit-identical to the unwrapped stream) and only sets
+ * MemRef::endsRequest.  The System stages a measured completion for
+ * every flagged reference and runs the arrival process as a timing
+ * overlay, so the `closed` arrival model is the degenerate case with
+ * no wrapper at all, and every existing fixed-seed output is
+ * trivially preserved.
  *
- * Request segmentation comes from the generator when it is
- * request-shaped (RequestShapedGen: kvs/nat/bm25/knn plan whole
- * requests and know their lengths), and from fixed-size slicing
+ * Request ends come from the generator when it is request-shaped
+ * (RequestShapedGen: kvs/nat/bm25/knn plan whole requests and flag
+ * each one's last reference), and from fixed-size slicing
  * (ArrivalConfig::requestRefs) for plain mix generators and trace
  * replay, which carry no request structure.
  */
@@ -25,7 +26,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/rng.hh"
 #include "workload/workload.hh"
@@ -83,65 +83,42 @@ double drawInterarrivalNs(const ArrivalConfig &cfg, double ratePerSec,
                           Rng &rng);
 
 /**
- * A generator that plans whole requests and knows their lengths.
- * Standalone (closed-loop) use never calls nextRequestLen(): next()
- * plans lazily at the same points in the RNG stream, so the emitted
- * refs are identical whether or not a RequestSource drives it.
+ * Marker for a generator that plans whole requests and flags the last
+ * reference of each one (MemRef::endsRequest) itself, in closed loop
+ * too: its stream is the same with or without a RequestSource.
  */
 class RequestShapedGen : public TraceGen
 {
   public:
     using TraceGen::TraceGen;
-
-    /**
-     * Refs composing the next request (>= 1).  Called by
-     * RequestSource exactly when the previous request's refs have
-     * been fully consumed; plans the next request as a side effect.
-     * Called from RequestSource's draw path, so it runs in the
-     * concurrent private phase like next()/nextBatch().
-     */
-    // toleo: phase(private)
-    virtual std::uint64_t nextRequestLen() = 0;
 };
 
 /**
- * Transparent TraceGen wrapper that tracks request boundaries.
- *
- * nextBatch() forwards to the wrapped generator (in per-request
- * segments, which is draw-identical for every generator in the tree:
- * their nextBatch is defined as repeated next()), and records the
- * batch-relative indices of refs that complete a request.  The System
- * reads batchBoundaries() after each private-phase batch.
+ * Transparent TraceGen wrapper that makes the stream carry request
+ * ends.  A request-shaped inner stream already does and passes
+ * through untouched; any other stream gets every requestRefs-th
+ * reference flagged, counted across batches, so where requests end
+ * never depends on how the stream is sliced into batches.
  */
 class RequestSource : public TraceGen
 {
   public:
     /**
      * Wrap `inner`.  If `inner` is request-shaped its own request
-     * lengths are used; otherwise the stream is sliced into
-     * fixed-size requests of `requestRefs` refs (must be >= 1).
+     * ends are used; otherwise the stream is sliced into fixed-size
+     * requests of `requestRefs` refs (must be >= 1).
      */
     RequestSource(std::unique_ptr<TraceGen> inner,
                   std::uint64_t requestRefs);
 
-    MemRef next() override;
     void nextBatch(MemRef *out, std::size_t n) override;
-
-    /**
-     * Batch-relative indices (ascending) of the refs that completed a
-     * request in the most recent nextBatch() call.
-     */
-    const std::vector<std::uint32_t> &batchBoundaries() const
-    {
-        return boundaries_;
-    }
 
   private:
     std::unique_ptr<TraceGen> inner_;
-    RequestShapedGen *shaped_ = nullptr; ///< inner_, when shaped.
+    /** Refs per fixed-size request; 0 when inner_ is request-shaped. */
     std::uint64_t fixedRefs_;
-    std::uint64_t leftInRequest_ = 0;
-    std::vector<std::uint32_t> boundaries_;
+    /** Refs until the next fixed-size request end, >= 1. */
+    std::uint64_t leftInRequest_;
 };
 
 } // namespace toleo

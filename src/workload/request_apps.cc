@@ -59,10 +59,10 @@ struct RequestAppDef
 };
 
 /**
- * Plans one request at a time into an internal ref queue.  next()
- * replans lazily when the queue runs dry, so standalone closed-loop
- * use draws the exact same stream as RequestSource-driven use (which
- * replans via nextRequestLen() at the same RNG points).
+ * Plans one request at a time into an internal ref queue, flagging
+ * the request's last reference, and replans when the queue runs dry.
+ * The flags ride the stream, so RequestSource passes it through
+ * untouched and the draws are the same with or without it.
  */
 class RequestAppGen : public RequestShapedGen
 {
@@ -97,31 +97,22 @@ class RequestAppGen : public RequestShapedGen
             gapLo_, static_cast<std::uint64_t>(std::max(0.0, gap * 1.5)));
     }
 
+    void
+    nextBatch(MemRef *out, std::size_t n) override
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = draw();
+    }
+
+  private:
     MemRef
-    next() override
+    draw()
     {
         if (planPos_ >= plan_.size())
             planRequest();
         return plan_[planPos_++];
     }
 
-    void
-    nextBatch(MemRef *out, std::size_t n) override
-    {
-        // Qualified call: one virtual dispatch per batch.
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = RequestAppGen::next();
-    }
-
-    std::uint64_t
-    nextRequestLen() override
-    {
-        if (planPos_ >= plan_.size())
-            planRequest();
-        return plan_.size() - planPos_;
-    }
-
-  private:
     void
     push(Addr addr, bool write)
     {
@@ -171,6 +162,7 @@ class RequestAppGen : public RequestShapedGen
         }
         if (plan_.empty())
             pushHot(false); // degenerate spec: never emit 0-ref requests
+        plan_.back().endsRequest = true;
     }
 
     RequestAppSpec spec_;

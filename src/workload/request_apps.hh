@@ -9,10 +9,10 @@
  * probe plus a value burst for `kvs`, a flow-table lookup plus header
  * update for `nat`, several postings-list scans with score
  * accumulation for `bm25`, and candidate-vector distance scans for
- * `knn`.  Each generator implements RequestShapedGen, so the open-loop
- * serving layer (RequestSource) segments latency accounting at true
- * request boundaries; under the closed arrival model they behave as
- * ordinary TraceGens.
+ * `knn`.  Each generator is a RequestShapedGen that flags the last
+ * reference of every request it plans (MemRef::endsRequest), so the
+ * open-loop serving layer segments latency accounting at true request
+ * ends; under the closed arrival model nothing reads the flags.
  *
  * These names are intentionally NOT part of paperWorkloads(): the
  * 12-workload paper grid stays byte-pinned.  They are reachable via

@@ -385,14 +385,6 @@ TraceReplayGen::TraceReplayGen(WorkloadInfo info,
 {
 }
 
-MemRef
-TraceReplayGen::next()
-{
-    MemRef ref;
-    TraceReplayGen::nextBatch(&ref, 1);
-    return ref;
-}
-
 void
 TraceReplayGen::nextBatch(MemRef *out, std::size_t n)
 {
@@ -410,6 +402,7 @@ TraceReplayGen::nextBatch(MemRef *out, std::size_t n)
         prev += static_cast<Addr>(unzigzag(delta));
         out[i].addr = prev;
         out[i].isWrite = meta & 1;
+        out[i].endsRequest = false; // @p out is reused across batches
         out[i].instGap = static_cast<std::uint32_t>(meta >> 1);
     }
     cur_ = p;

@@ -179,7 +179,6 @@ class TraceReplayGen : public TraceGen
                    std::shared_ptr<const TraceFile> trace,
                    unsigned core);
 
-    MemRef next() override;
     void nextBatch(MemRef *out, std::size_t n) override;
 
   private:
@@ -194,7 +193,9 @@ class TraceReplayGen : public TraceGen
  * Transparent capture wrapper: forwards every batch to the wrapped
  * generator and appends it to a TraceWriter stream.  The wrapped
  * generator's draw sequence is untouched, so a recorded run's stats
- * are byte-identical to an unrecorded one.
+ * are byte-identical to an unrecorded one.  The writer keeps
+ * addresses, stores and gaps but not request ends, so a capture is
+ * the same under every arrival model.
  */
 class RecordingTraceGen : public TraceGen
 {
@@ -204,14 +205,6 @@ class RecordingTraceGen : public TraceGen
         : TraceGen(inner->info()), inner_(std::move(inner)),
           writer_(writer), stream_(stream)
     {
-    }
-
-    MemRef
-    next() override
-    {
-        MemRef ref = inner_->next();
-        writer_.append(stream_, &ref, 1);
-        return ref;
     }
 
     void

@@ -27,9 +27,17 @@ struct MemRef
 {
     Addr addr = 0;
     bool isWrite = false;
+    /**
+     * Last reference of a request: request-shaped generators flag the
+     * end of every request they plan, and RequestSource flags fixed
+     * slices of any other stream.  Only the open-loop serving layer
+     * reads it; traces do not record it.
+     */
+    bool endsRequest = false;
     /** Non-memory instructions executed since the previous ref. */
     std::uint32_t instGap = 0;
 };
+static_assert(sizeof(MemRef) == 16, "MemRef fits in 16 bytes");
 
 /** Static description of a benchmark (reported in Table 2). */
 struct WorkloadInfo
@@ -49,31 +57,38 @@ struct WorkloadInfo
     double mlp = 4.0;
 };
 
-/** Infinite reference-stream generator (one instance per core). */
+/**
+ * Infinite reference-stream generator (one instance per core).
+ * nextBatch() is the one draw every generator implements, and the
+ * stream it yields must not depend on how it is sliced into batches;
+ * next() is a batch of one.
+ */
 class TraceGen
 {
   public:
     explicit TraceGen(WorkloadInfo info) : info_(std::move(info)) {}
     virtual ~TraceGen() = default;
 
-    /** Produce the next reference.  Generators are per-core
-     *  instances, so the draw paths run in the concurrent private
-     *  phase; the phase(private) annotations cover every override
-     *  (toleo_lint fans a virtual root out over the index). */
-    // toleo: phase(private)
-    virtual MemRef next() = 0;
-
     /**
-     * Produce the next @p n references into @p out -- exactly the
-     * sequence n calls to next() would yield.  Generators override
-     * this to amortize the virtual dispatch over a whole batch.
+     * Produce the next @p n references into @p out, writing every
+     * field of each: callers reuse one buffer across batches, so a
+     * field left alone would carry an earlier batch's value.  One
+     * virtual dispatch per batch.  Generators are per-core
+     * instances, so the draw paths run in the concurrent private
+     * phase; the phase(private) annotation covers every override
+     * (toleo_lint fans a virtual root out over the index).
      */
     // toleo: phase(private)
-    virtual void
-    nextBatch(MemRef *out, std::size_t n)
+    virtual void nextBatch(MemRef *out, std::size_t n) = 0;
+
+    /** Produce the next reference: a batch of one. */
+    // toleo: phase(private)
+    MemRef
+    next()
     {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = next();
+        MemRef ref;
+        nextBatch(&ref, 1);
+        return ref;
     }
 
     const WorkloadInfo &info() const { return info_; }

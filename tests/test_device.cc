@@ -99,17 +99,6 @@ TEST(Device, UsageGrowsWithTouchedPagesAndEntries)
     EXPECT_EQ(dev.usageBytes(), flatEntryBytes + unevenEntryBytes);
 }
 
-TEST(Device, PeakUsageIsMonotone)
-{
-    ToleoDevice dev(smallConfig());
-    dev.update(blk(1, 0));
-    dev.update(blk(1, 0));
-    const auto peak = dev.peakUsageBytes();
-    dev.reset(1); // usage drops, peak must not
-    EXPECT_LE(dev.usageBytes(), peak);
-    EXPECT_EQ(dev.peakUsageBytes(), peak);
-}
-
 TEST(Device, SpaceExhaustionDetected)
 {
     ToleoDeviceConfig cfg = smallConfig();
@@ -124,29 +113,6 @@ TEST(Device, SpaceExhaustionDetected)
     // Host downgrade frees the space.
     dev.reset(1);
     EXPECT_FALSE(dev.spaceExhausted());
-}
-
-TEST(Device, UsagePerTbAllFlatMatchesArithmetic)
-{
-    ToleoDevice dev(smallConfig());
-    for (PageNum p = 0; p < 100; ++p)
-        dev.update(blk(p, 0));
-    auto u = dev.usagePerTbProtected();
-    // All pages flat: 1e12/4096 * 12 B = 2.93 GB per TB.
-    EXPECT_NEAR(u.flatGb, 1e12 / 4096 * 12 / 1e9, 1e-9);
-    EXPECT_DOUBLE_EQ(u.unevenGb, 0.0);
-    EXPECT_DOUBLE_EQ(u.fullGb, 0.0);
-}
-
-TEST(Device, UsagePerTbCountsUnevenFraction)
-{
-    ToleoDevice dev(smallConfig());
-    for (PageNum p = 0; p < 100; ++p)
-        dev.update(blk(p, 0));
-    for (PageNum p = 0; p < 10; ++p)
-        dev.update(blk(p, 0)); // 10% of pages uneven
-    auto u = dev.usagePerTbProtected();
-    EXPECT_NEAR(u.unevenGb, 1e12 / 4096 * 0.10 * 56 / 1e9, 1e-3);
 }
 
 TEST(Device, StatCountersTrackRequests)

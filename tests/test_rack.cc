@@ -1,8 +1,8 @@
 /**
  * @file
  * Regression harness for the multi-node rack simulation
- * (sim/rack.hh): the golden-stats fixtures pinning a fixed-seed
- * 4-node cell byte-for-byte (closed and open-loop), the 1-node
+ * (sim/rack.hh): the golden-stats fixtures pinning fixed-seed
+ * 4-node cells byte-for-byte (closed and open-loop), the 1-node
  * bit-identity invariant against a plain System::run, the
  * epoch-steppable run API, and the error paths that keep a rack
  * config honest.
@@ -408,10 +408,12 @@ TEST(Rack, CsvRowsMatchHeaderAndDenormalizeRackScalars)
 
 TEST(RackGolden, FourNodeFixedSeedStatsArePinned)
 {
-    // The full RackStats record of the fixed-seed 4-node cell,
-    // byte-for-byte, closed-loop and under a bursty open-loop
-    // arrival (whose request-boundary merge rides the epoch replay).
-    // Any drift in the hot loop, the arbiter, the shared store, the
+    // The full RackStats record of fixed-seed 4-node cells,
+    // byte-for-byte: the memcached cell closed-loop and under a bursty
+    // open-loop arrival, a request app (whose generator marks its own
+    // request ends) under Poisson arrivals, and a Poisson replay of
+    // the committed capture (sliced into fixed-size requests).  Any
+    // drift in the hot loop, the arbiter, the shared store, the
     // serving overlay, or the serializers shows up here first.
     // After an *intended* change, regenerate with
     //
@@ -421,17 +423,26 @@ TEST(RackGolden, FourNodeFixedSeedStatsArePinned)
     // and commit the refreshed tests/data/golden_rack4*.json.
     struct Input
     {
+        const char *workload;
         const char *arrival;
+        const char *trace; ///< replayed capture, or nullptr
         const char *golden;
     };
     for (const Input &input :
-         {Input{"closed", TOLEO_RACK_GOLDEN},
-          Input{"burst:1e6,2", TOLEO_RACK_BURST_GOLDEN}}) {
+         {Input{"memcached", "closed", nullptr, TOLEO_RACK_GOLDEN},
+          Input{"memcached", "burst:1e6,2", nullptr,
+                TOLEO_RACK_BURST_GOLDEN},
+          Input{"kvs", "poisson:1e6", nullptr, TOLEO_RACK_KVS_GOLDEN},
+          Input{"bsw", "poisson:1e6", TOLEO_TRACE_FIXTURE,
+                TOLEO_RACK_REPLAY_GOLDEN}}) {
         SweepOptions opts = rackWindow(4);
         std::string err;
         ASSERT_TRUE(parseArrivalSpec(input.arrival, opts.arrival, err))
             << err;
-        const RackStats stats = runRackSweepCell(goldenCell, opts);
+        if (input.trace)
+            opts.tracePath = input.trace;
+        const RackStats stats = runRackSweepCell(
+            {input.workload, EngineKind::Toleo}, opts);
         const std::string got = rackStatsToJson(stats).dump(2) + "\n";
 
         // Golden-regeneration entry point, never read during a normal
@@ -451,8 +462,9 @@ TEST(RackGolden, FourNodeFixedSeedStatsArePinned)
         std::ostringstream want;
         want << in.rdbuf();
         EXPECT_EQ(got, want.str())
-            << "fixed-seed " << input.arrival
-            << " RackStats drifted from the committed golden";
+            << "fixed-seed " << input.workload << " " << input.arrival
+            << " RackStats drifted from the committed golden "
+            << input.golden;
     }
 }
 

@@ -2,15 +2,19 @@
  * @file
  * Open-loop serving tests: the arrival-model parser, transparency of
  * the RequestSource wrapper (the wrapped generator must emit the
- * exact same reference stream), the contract that the serving overlay
+ * exact same reference stream, with request ends flagged the same
+ * way however it is batched), the contract that the serving overlay
  * never perturbs any non-serving statistic, monotone tail-latency
  * degradation as the offered rate crosses saturation, the rack-wide
- * aggregate, and the record-closed/replay-open trace round trip.
+ * aggregate, the record-closed/replay-open trace round trip, and
+ * recording under an open arrival.
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -143,17 +147,22 @@ TEST(ArrivalSpec, BurstAcceptsZeroCv)
 
 TEST(RequestSource, WrappedRequestAppEmitsIdenticalStream)
 {
-    // The request-shaped path replans via nextRequestLen() at the
-    // same RNG points as standalone next(), so the streams match.
+    // A request app flags its own request ends, so the wrapper passes
+    // its stream through untouched, flags included.
     auto plain = makeWorkload("kvs", 0, 42);
     RequestSource wrapped(makeWorkload("kvs", 0, 42), 64);
+    std::uint64_t ends = 0;
     for (int i = 0; i < 20000; ++i) {
         const MemRef a = plain->next();
         const MemRef b = wrapped.next();
         ASSERT_EQ(a.addr, b.addr) << "ref " << i;
         ASSERT_EQ(a.isWrite, b.isWrite) << "ref " << i;
         ASSERT_EQ(a.instGap, b.instGap) << "ref " << i;
+        ASSERT_EQ(a.endsRequest, b.endsRequest) << "ref " << i;
+        ends += a.endsRequest;
     }
+    // kvs requests run 7-22 refs, never 64: the flags are the app's.
+    EXPECT_GT(ends, 20000u / 64);
 }
 
 TEST(RequestSource, FixedChunkingIsTransparentForMixWorkloads)
@@ -165,35 +174,78 @@ TEST(RequestSource, FixedChunkingIsTransparentForMixWorkloads)
     wrapped.nextBatch(b.data(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         ASSERT_EQ(a[i].addr, b[i].addr) << "ref " << i;
+        ASSERT_EQ(a[i].isWrite, b[i].isWrite) << "ref " << i;
         ASSERT_EQ(a[i].instGap, b[i].instGap) << "ref " << i;
+        // A mix generator carries no request structure of its own.
+        ASSERT_FALSE(a[i].endsRequest) << "ref " << i;
+        // 7-ref requests end at 6, 13, ..., 993; the 143rd request is
+        // still in flight when the batch ends.
+        ASSERT_EQ(b[i].endsRequest, i % 7 == 6) << "ref " << i;
     }
-    // 1000 refs in 7-ref requests: boundaries at 6, 13, ..., every
-    // 7th ref; the 142nd request completes at index 993 and the
-    // 143rd is still in flight when the batch ends.
-    const auto &marks = wrapped.batchBoundaries();
-    ASSERT_EQ(marks.size(), 142u);
-    EXPECT_EQ(marks.front(), 6u);
-    EXPECT_EQ(marks.back(), 993u);
 }
 
-TEST(RequestSource, BatchBoundariesLandOnRequestEnds)
+namespace {
+
+/** Draw @p total refs in batches of @p batch (0 = through next()). */
+std::vector<MemRef>
+drawInBatches(TraceGen &gen, std::size_t total, std::size_t batch)
 {
-    RequestSource src(makeWorkload("kvs", 0, 7), 64);
-    // Pull a few batches; every boundary index must be in range and
-    // strictly increasing within a batch.
-    std::vector<MemRef> buf(256);
-    for (int batch = 0; batch < 50; ++batch) {
-        src.nextBatch(buf.data(), buf.size());
-        const auto &marks = src.batchBoundaries();
-        std::uint32_t prev = 0;
-        bool first = true;
-        for (const std::uint32_t m : marks) {
-            ASSERT_LT(m, buf.size());
-            if (!first) {
-                ASSERT_GT(m, prev);
+    std::vector<MemRef> out(total);
+    for (std::size_t pos = 0; pos < total;) {
+        if (batch == 0) {
+            out[pos++] = gen.next();
+            continue;
+        }
+        const std::size_t n = std::min(batch, total - pos);
+        gen.nextBatch(out.data() + pos, n);
+        pos += n;
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(RequestSource, RequestEndsIndependentOfBatching)
+{
+    // Request ends ride the reference stream, so where a request ends
+    // never depends on how the System slices the stream into batches:
+    // the request apps flag their own plans, and fixed slicing counts
+    // across batch edges.
+    constexpr std::size_t total = 3000;
+    const auto makeGen = [](const std::string &name)
+        -> std::unique_ptr<TraceGen> {
+        if (name == "bsw/7")
+            return std::make_unique<RequestSource>(
+                makeWorkload("bsw", 0, 42), 7);
+        return makeWorkload(name, 0, 42);
+    };
+    for (const std::string name : {"kvs", "nat", "bm25", "knn", "bsw/7"}) {
+        auto ref = makeGen(name);
+        const std::vector<MemRef> want = drawInBatches(*ref, total, 1);
+        std::size_t ends = 0;
+        for (std::size_t i = 0; i < total; ++i)
+            ends += want[i].endsRequest;
+        EXPECT_GT(ends, 0u) << name;
+        if (name == "bsw/7") {
+            for (std::size_t i = 0; i < total; ++i)
+                ASSERT_EQ(want[i].endsRequest, i % 7 == 6)
+                    << name << " ref " << i;
+        }
+        for (const std::size_t batch : {std::size_t{7}, std::size_t{256},
+                                        std::size_t{0}}) {
+            auto gen = makeGen(name);
+            const std::vector<MemRef> got =
+                drawInBatches(*gen, total, batch);
+            for (std::size_t i = 0; i < total; ++i) {
+                ASSERT_EQ(got[i].addr, want[i].addr)
+                    << name << " batch " << batch << " ref " << i;
+                ASSERT_EQ(got[i].isWrite, want[i].isWrite)
+                    << name << " batch " << batch << " ref " << i;
+                ASSERT_EQ(got[i].instGap, want[i].instGap)
+                    << name << " batch " << batch << " ref " << i;
+                ASSERT_EQ(got[i].endsRequest, want[i].endsRequest)
+                    << name << " batch " << batch << " ref " << i;
             }
-            prev = m;
-            first = false;
         }
     }
 }
@@ -361,18 +413,6 @@ TEST(ServingConfig, RejectsBadSloAndRequestRefs)
     EXPECT_THROW(System{cfg}, std::invalid_argument);
 }
 
-TEST(ServingConfig, RejectsRecordingUnderOpenArrival)
-{
-    // Recording taps the raw generators below the RequestSource, so
-    // boundary bookkeeping cannot see through it; the supported path
-    // is record closed, replay open.
-    SystemConfig cfg = makeScaledConfig("kvs", EngineKind::Toleo, 2);
-    cfg.arrival.kind = ArrivalKind::Poisson;
-    cfg.arrival.ratePerSec = 1e6;
-    cfg.recordTracePath = "unused.trc";
-    EXPECT_THROW(System{cfg}, std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------
 // Rack aggregation
 // ---------------------------------------------------------------------
@@ -446,4 +486,43 @@ TEST(ServingTrace, RecordClosedReplayOpenRoundTrip)
     EXPECT_EQ(replayed.dump(2), again.dump(2));
 
     std::remove(path.c_str());
+}
+
+TEST(ServingTrace, RecordingComposesWithOpenArrival)
+{
+    // The capture wraps the request layer, so it holds the raw draws:
+    // recording an open-loop cell yields the closed capture byte for
+    // byte, and the recorded open run reports what the unrecorded one
+    // does.
+    const std::string closedPath =
+        ::testing::TempDir() + "serving_closed.trc";
+    const std::string openPath =
+        ::testing::TempDir() + "serving_open.trc";
+    const SweepCell cell{"kvs", EngineKind::Toleo};
+
+    SweepOptions closed = servingWindow();
+    closed.recordTracePath = closedPath;
+    runSweepCell(cell, closed);
+
+    SweepOptions open = servingWindow("poisson:1e6");
+    const Json plain = statsToJson(runSweepCell(cell, open));
+    open.recordTracePath = openPath;
+    const Json recorded = statsToJson(runSweepCell(cell, open));
+    ASSERT_TRUE(recorded.has("serving"));
+    EXPECT_GT(recorded.get("serving")->get("requests")->asUint(), 0u);
+    EXPECT_EQ(plain.dump(2), recorded.dump(2));
+
+    const auto bytes = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        EXPECT_TRUE(in.good()) << path;
+        std::ostringstream text;
+        text << in.rdbuf();
+        return text.str();
+    };
+    const std::string want = bytes(closedPath);
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(want, bytes(openPath));
+
+    std::remove(closedPath.c_str());
+    std::remove(openPath.c_str());
 }

@@ -7,6 +7,7 @@
  * file error paths, the text importer, and the committed fixture.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -108,6 +109,38 @@ TEST(TraceRoundTrip, WriterReaderPreserveEveryRecord)
             EXPECT_EQ(got[i].addr, want[i].addr) << i;
             EXPECT_EQ(got[i].isWrite, want[i].isWrite) << i;
             EXPECT_EQ(got[i].instGap, want[i].instGap) << i;
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceRoundTrip, ReplayClearsStaleRequestEnds)
+{
+    // Traces do not record request ends, and the System reuses one
+    // reference buffer per core across batches: a replayed batch must
+    // overwrite every flag an earlier batch (or a request-flagging
+    // wrapper) left behind, or an open-loop replay would count
+    // phantom requests.
+    const std::string path = tempPath("trace_flags.trc");
+    auto refs = sampleRefs(5);
+    for (std::size_t i = 0; i < refs.size(); i += 3)
+        refs[i].endsRequest = true;
+    TraceWriter writer(1, "t", 0);
+    writer.append(0, refs.data(), refs.size());
+    writer.writeTo(path);
+
+    const auto trace = TraceFile::open(path);
+    TraceReplayGen gen(anyInfo(), trace, 0);
+    MemRef stale;
+    stale.endsRequest = true;
+    std::vector<MemRef> buf(256, stale);
+    for (std::size_t pos = 0; pos < refs.size(); pos += buf.size()) {
+        const std::size_t n = std::min(buf.size(), refs.size() - pos);
+        std::fill(buf.begin(), buf.end(), stale);
+        gen.nextBatch(buf.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_FALSE(buf[i].endsRequest) << pos + i;
+            EXPECT_EQ(buf[i].addr, refs[pos + i].addr) << pos + i;
         }
     }
     std::remove(path.c_str());

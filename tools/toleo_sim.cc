@@ -124,8 +124,9 @@ usage(const char *argv0)
         "                    synthetic generators (looped when the\n"
         "                    window outruns the capture)\n"
         "  --record-trace F  capture the generator streams of a\n"
-        "                    single closed-loop (workload x engine)\n"
-        "                    cell to F, replayable with --trace\n"
+        "                    single (workload x engine) cell to F,\n"
+        "                    under any --arrival; replayable with\n"
+        "                    --trace\n"
         "  --quiet           suppress per-cell progress on stderr\n"
         "  --list            list known workloads and engines, then exit\n"
         "  --help            this message\n",
@@ -312,24 +313,18 @@ parseArgs(int argc, char **argv)
 
     // A capture is one System's raw generator streams.  Rack nodes or
     // concurrent cells would clobber one file (and with a fixed seed
-    // every cell of a workload draws the same stream anyway).  The
-    // request-boundary bookkeeping of an open arrival cannot see
-    // through the recording shim, and a capture is arrival-model-
-    // independent anyway.
+    // every cell of a workload draws the same stream anyway).
     if (!sweep.recordTracePath.empty()) {
         const char *conflict =
             rack ? "--rack"
             : !sweep.tracePath.empty() ? "--trace"
-            : sweep.arrival.open()
-                ? "an open --arrival (record closed-loop and replay "
-                  "the capture open-loop instead)"
             : spec.cells.size() != 1
                 ? "more than one cell (pick one workload and one "
                   "engine)"
                 : nullptr;
         if (conflict)
-            fatal("--record-trace captures a single closed-loop cell; "
-                  "it cannot be combined with %s",
+            fatal("--record-trace captures a single cell; it cannot be "
+                  "combined with %s",
                   conflict);
     }
 
