@@ -36,18 +36,18 @@ main()
         TripAnalysisConfig cfg;
         cfg.workload = name;
         cfg.refsPerCore = 1'000'000;
-        const auto r = runTripAnalysis(cfg);
+        const auto u = runTripAnalysis(cfg).usage;
         // flat-only: any page that needed uneven/full falls back to
         // the naive full list.
         const double frac_irregular =
-            r.unevenFraction() + r.fullFraction();
+            u.share(u.unevenPages) + u.share(u.fullPages);
         const double flat_only =
             flatEntryBytes + frac_irregular * fullEntryBytes;
         std::printf("%-12s %8.0f %10.2f %10.2f %9.0f:1\n",
                     name.c_str(), naive, flat_only,
-                    r.avgEntryBytesPerPage,
-                    pageSize / r.avgEntryBytesPerPage);
-        sum_trip += r.avgEntryBytesPerPage;
+                    u.avgEntryBytesPerPage,
+                    pageSize / u.avgEntryBytesPerPage);
+        sum_trip += u.avgEntryBytesPerPage;
     }
     const double avg = sum_trip / paperWorkloads().size();
     std::printf("%-12s %8.0f %10s %10.2f %9.0f:1\n", "average", naive,

@@ -24,14 +24,16 @@ main()
     for (const auto &name : paperWorkloads()) {
         TripAnalysisConfig cfg;
         cfg.workload = name;
-        const auto r = runTripAnalysis(cfg);
+        const auto u = runTripAnalysis(cfg).usage;
+        const double flat = u.share(u.flatPages);
+        const double uneven = u.share(u.unevenPages);
+        const double full = u.share(u.fullPages);
         std::printf("%-12s %8.1f%% %8.1f%% %8.2f%% %10llu\n",
-                    name.c_str(), 100 * r.flatFraction(),
-                    100 * r.unevenFraction(), 100 * r.fullFraction(),
-                    static_cast<unsigned long long>(r.footprintPages));
-        sum_flat += r.flatFraction();
-        sum_uneven += r.unevenFraction();
-        sum_full += r.fullFraction();
+                    name.c_str(), 100 * flat, 100 * uneven, 100 * full,
+                    static_cast<unsigned long long>(u.rssPages));
+        sum_flat += flat;
+        sum_uneven += uneven;
+        sum_full += full;
     }
     const double n = paperWorkloads().size();
     std::printf("%-12s %8.1f%% %8.1f%% %8.2f%%\n", "average",

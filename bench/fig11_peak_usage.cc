@@ -26,13 +26,13 @@ main()
     for (const auto &name : paperWorkloads()) {
         TripAnalysisConfig cfg;
         cfg.workload = name;
-        const auto r = runTripAnalysis(cfg);
+        const auto u = runTripAnalysis(cfg).usage;
         std::printf("%-12s %8.2f %8.2f %8.2f %8.2f\n", name.c_str(),
-                    r.flatGbPerTb, r.unevenGbPerTb, r.fullGbPerTb,
-                    r.totalGbPerTb());
-        sum += r.totalGbPerTb();
-        if (r.totalGbPerTb() > worst) {
-            worst = r.totalGbPerTb();
+                    u.flatGbPerTb, u.unevenGbPerTb, u.fullGbPerTb,
+                    u.totalGbPerTb());
+        sum += u.totalGbPerTb();
+        if (u.totalGbPerTb() > worst) {
+            worst = u.totalGbPerTb();
             worst_name = name;
         }
     }

@@ -53,7 +53,7 @@ main()
         TripAnalysisConfig cfg;
         cfg.workload = name;
         cfg.refsPerCore = 1'000'000;
-        sum += runTripAnalysis(cfg).avgEntryBytesPerPage;
+        sum += runTripAnalysis(cfg).usage.avgEntryBytesPerPage;
     }
     const double avg = sum / paperWorkloads().size();
     row("Toleo Stealth Avg. (meas)", avg, pageSize);

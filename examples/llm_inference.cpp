@@ -65,14 +65,14 @@ main()
     std::printf("stealth cache hit rate: %.1f%%  (paper: ~98%%)\n",
                 tol.stealthCacheHitRate * 100.0);
 
-    const auto total =
-        tol.trip.flat + tol.trip.uneven + tol.trip.full;
+    const TripStore::Usage &u = tol.usage;
+    const auto total = u.flatPages + u.unevenPages + u.fullPages;
     if (total > 0)
         std::printf("Trip pages: %.1f%% flat / %.1f%% uneven / "
                     "%.2f%% full (weights: uniform activation "
                     "rewrites keep pages flat)\n",
-                    100.0 * tol.trip.flat / total,
-                    100.0 * tol.trip.uneven / total,
-                    100.0 * tol.trip.full / total);
+                    100.0 * u.flatPages / total,
+                    100.0 * u.unevenPages / total,
+                    100.0 * u.fullPages / total);
     return 0;
 }

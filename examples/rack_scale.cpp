@@ -68,12 +68,12 @@ main()
                 "GB needed");
     for (const auto &t : tenants) {
         prof_cfg.workload = t.workload;
-        const TripAnalysisResult &r = profiles.get(prof_cfg);
-        const double dyn_per_tb = r.unevenGbPerTb + r.fullGbPerTb;
-        const double per_tb = r.flatGbPerTb + dyn_per_tb;
+        const TripStore::Usage &u = profiles.get(prof_cfg).usage;
+        const double dyn_per_tb = u.unevenGbPerTb + u.fullGbPerTb;
+        const double per_tb = u.flatGbPerTb + dyn_per_tb;
         std::printf("%-12s %8.1f %12.2f %12.2f\n", t.workload,
                     t.memoryTb, per_tb, per_tb * t.memoryTb);
-        flat_gb += r.flatGbPerTb * t.memoryTb;
+        flat_gb += u.flatGbPerTb * t.memoryTb;
         dyn_gb += dyn_per_tb * t.memoryTb;
         total_tb += t.memoryTb;
     }

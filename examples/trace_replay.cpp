@@ -49,7 +49,7 @@ main(int argc, char **argv)
                 path.c_str());
 
     // 2. Replay through the identical window and compare.
-    opts.tracePath = path;
+    opts.trace = trace;
     const SimStats replay =
         runSweepCell({"bsw", EngineKind::Toleo}, opts);
 

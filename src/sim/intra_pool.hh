@@ -1,28 +1,30 @@
 /**
  * @file
- * Persistent intra-System worker pool.
+ * The simulator's one worker pool.
  *
- * The private half of every System epoch batch (System::stageRounds)
- * runs every core's generator draws and L1/L2 accesses over
- * structures that are disjoint per core, so the per-core bodies can
- * run on worker threads without any observable reordering: the
- * shared half (L3, topology, protection engine) still replays the
- * exact global order single-threaded afterwards.  This pool is the sanctioned home for
- * those threads (tools/toleo_lint bans raw std::thread elsewhere --
- * new parallelism must go through a pool that preserves the
+ * Three tiers run on it, each with bodies over disjoint state: each
+ * System's per-core private phase (System::stageRounds: one core's
+ * generator draws and L1/L2), rack nodes' private epoch halves
+ * (sim/rack.cc), and sweep cells (sim/sweep.cc).  The shared work
+ * (L3, topology, engine, device) still replays the exact global
+ * order single-threaded afterwards.  This pool is the sanctioned
+ * home for threads (tools/toleo_lint bans raw std::thread elsewhere
+ * -- new parallelism must go through a pool that preserves the
  * deterministic-replay structure).
  *
  * Design constraints, in order:
  *  - determinism: work assignment is a pure function of (index,
  *    thread count); nothing about scheduling can leak into results
- *    because the per-index bodies share no mutable state;
+ *    because the per-index bodies share no mutable state.  Static
+ *    striping also keeps each core's or node's state on the same
+ *    thread every batch.  The sweep, whose cells differ in cost,
+ *    runs one body per thread that claims cells itself;
  *  - cheap dispatch: one batch of the private phase is only a few
  *    thousand references, so a dispatch is one mutex round-trip and
  *    one condition-variable wake, with the threads kept alive across
  *    the whole run (no spawn/join per batch);
  *  - clean teardown under exceptions: a throwing body is captured
- *    and rethrown on the caller after the barrier, like the
- *    cross-cell pool in sim/sweep.cc.
+ *    and rethrown on the caller after the barrier.
  */
 
 #ifndef TOLEO_SIM_INTRA_POOL_HH

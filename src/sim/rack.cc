@@ -11,33 +11,6 @@
 
 namespace toleo {
 
-/**
- * Node-private half of one rack epoch step: generator draws, L1/L2,
- * footprint and serving-boundary staging.  This is the body the rack
- * pool runs for all live nodes concurrently, and the phase-safety
- * walk root that proves it never touches the shared device, the
- * arbiter, or any other node's state.
- */
-// toleo: phase(private)
-bool
-rackNodeStepPrivate(System &sys)
-{
-    return sys.stepEpochPrivate();
-}
-
-/**
- * Shared half of the same epoch step: device/arbiter-visible replay.
- * Always runs serially, in strict node order, with the node's device
- * port selected -- the deterministic global operation sequence the
- * rack contract pins.
- */
-// toleo: phase(shared)
-void
-rackNodeReplayShared(System &sys)
-{
-    sys.replayEpochShared();
-}
-
 RackConfig
 makeRackConfig(unsigned nodes, const SystemConfig &base)
 {
@@ -153,8 +126,7 @@ runRack(const RackConfig &cfg)
         if (rackPool) {
             rackPool->run(n, [&](unsigned i) {
                 if (alive[i])
-                    stepped[i] =
-                        rackNodeStepPrivate(*systems[i]) ? 1 : 0;
+                    stepped[i] = systems[i]->stepEpochPrivate() ? 1 : 0;
             });
         }
         double epochNs = 0.0;
@@ -165,7 +137,7 @@ runRack(const RackConfig &cfg)
             device.setActiveInitiator(i);
             bool more;
             if (rackPool) {
-                rackNodeReplayShared(*systems[i]);
+                systems[i]->replayEpochShared();
                 more = stepped[i] != 0;
             } else {
                 more = systems[i]->stepEpoch();

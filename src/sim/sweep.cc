@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "common/logging.hh"
+#include "sim/intra_pool.hh"
 #include "workload/trace_file.hh"
 
 namespace toleo {
@@ -19,7 +18,6 @@ runSweepCell(const SweepCell &cell, const SweepOptions &opts)
         makeScaledConfig(cell.workload, cell.engine, opts.cores);
     cfg.seed = opts.seed;
     cfg.trace = opts.trace;
-    cfg.tracePath = opts.tracePath;
     cfg.recordTracePath = opts.recordTracePath;
     cfg.intraThreads = opts.intraThreads;
     cfg.arrival = opts.arrival;
@@ -42,85 +40,41 @@ makeSweepGrid(const std::vector<std::string> &workloads,
 namespace {
 
 /**
- * Worker-pool core shared by runSweep and runRackSweep: run
- * work(i) for i in [0, n) on up to @p jobsOpt threads.  An exception
- * anywhere inside a cell must not escape a worker thread (that would
- * std::terminate the whole sweep with no diagnostics): the first one
- * is captured, no new cells are handed out, and it is rethrown once
- * every worker has joined.  onDone(i, completed) runs under a lock
- * after each successful cell, so progress callbacks need not be
- * thread-safe.
+ * Pool core shared by runSweep and runRackSweep: run work(i) for
+ * every cell on an IntraPool of min(jobs, n) threads, the caller
+ * included.  Each thread claims the next unclaimed cell from one
+ * counter, so cells of unequal cost balance.  An exception inside a
+ * cell must not tear down the sweep: after the first one no new cell
+ * starts, in-flight cells finish, and the pool rethrows it after its
+ * barrier.  onDone(i, completed) runs under a lock after each
+ * successful cell, so progress callbacks need not be thread-safe.
  */
 template <typename Work, typename Done>
 void
-runCellPool(std::size_t n, unsigned jobsOpt, const Work &work,
+runCellPool(std::size_t n, unsigned jobs, const Work &work,
             const Done &onDone)
 {
-    if (n == 0)
-        return;
-    const unsigned jobs =
-        std::max(1u, std::min<unsigned>(jobsOpt, n));
-
+    const unsigned threads = std::max(1u, std::min<unsigned>(jobs, n));
+    IntraPool pool(threads);
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
     std::atomic<bool> failed{false};
     std::mutex progressMutex;
-    std::exception_ptr firstError;
-
-    auto worker = [&] {
-        for (;;) {
-            if (failed.load(std::memory_order_relaxed))
-                return;
+    std::size_t done = 0; // guarded by progressMutex
+    pool.run(threads, [&](unsigned) {
+        while (!failed.load()) {
             const std::size_t i = next.fetch_add(1);
             if (i >= n)
                 return;
             try {
                 work(i);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(progressMutex);
-                if (!firstError)
-                    firstError = std::current_exception();
-                failed.store(true, std::memory_order_relaxed);
-                return;
+                failed.store(true);
+                throw;
             }
-            const std::size_t d = done.fetch_add(1) + 1;
-            {
-                std::lock_guard<std::mutex> lock(progressMutex);
-                onDone(i, d);
-            }
+            std::lock_guard<std::mutex> lock(progressMutex);
+            onDone(i, ++done);
         }
-    };
-
-    if (jobs == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned j = 0; j < jobs; ++j)
-            pool.emplace_back(worker);
-        for (auto &t : pool)
-            t.join();
-    }
-
-    if (firstError)
-        std::rethrow_exception(firstError);
-}
-
-/**
- * Honor the load-once contract (see SweepOptions::trace) for every
- * caller, not just the toleo_sim CLI: open and validate a
- * path-specified trace once so cells share one read-only instance
- * instead of re-decoding the file per cell.  Returns the effective
- * options, using @p shared as backing storage when a copy is needed.
- */
-const SweepOptions &
-withPreloadedTrace(const SweepOptions &opts, SweepOptions &shared)
-{
-    if (opts.tracePath.empty() || opts.trace)
-        return opts;
-    shared = opts;
-    shared.trace = TraceFile::open(opts.tracePath);
-    return shared;
+    });
 }
 
 } // namespace
@@ -140,15 +94,12 @@ runSweep(const std::vector<SweepCell> &cells,
             "recordTracePath captures a single cell; got " +
             std::to_string(cells.size()) + " cells");
 
-    SweepOptions shared;
-    const SweepOptions &effOpts = withPreloadedTrace(opts, shared);
-
     std::vector<SimStats> results(cells.size());
     runCellPool(
         cells.size(), opts.jobs,
         [&](std::size_t i) {
-            results[i] = cellFn ? cellFn(cells[i], effOpts)
-                                : runSweepCell(cells[i], effOpts);
+            results[i] = cellFn ? cellFn(cells[i], opts)
+                                : runSweepCell(cells[i], opts);
         },
         [&](std::size_t i, std::size_t d) {
             if (progress)
@@ -164,7 +115,6 @@ runRackSweepCell(const SweepCell &cell, const SweepOptions &opts)
         makeScaledConfig(cell.workload, cell.engine, opts.cores);
     base.seed = opts.seed;
     base.trace = opts.trace;
-    base.tracePath = opts.tracePath;
     // makeRackConfig clones the base config per node, so every
     // node's private phase gets the same intra-cell pool size; the
     // nodes' shared-device work still replays serially in node order
@@ -194,14 +144,11 @@ runRackSweep(const std::vector<SweepCell> &cells,
         throw TraceError(
             "recordTracePath is not supported in rack mode");
 
-    SweepOptions shared;
-    const SweepOptions &effOpts = withPreloadedTrace(opts, shared);
-
     std::vector<RackStats> results(cells.size());
     runCellPool(
         cells.size(), opts.jobs,
         [&](std::size_t i) {
-            results[i] = runRackSweepCell(cells[i], effOpts);
+            results[i] = runRackSweepCell(cells[i], opts);
         },
         [&](std::size_t i, std::size_t d) {
             if (progress)

@@ -6,9 +6,9 @@
  * grid of cells, where each cell builds one self-contained
  * toleo::System and runs it for a warmup + measurement window.  Cells
  * share no mutable state, so the grid is embarrassingly parallel:
- * runSweep() fans cells out to a pool of worker threads and returns
- * results in deterministic row-major (workload-major) order
- * regardless of completion order.
+ * runSweep() fans cells out over an IntraPool (sim/intra_pool.hh)
+ * and returns results in deterministic row-major (workload-major)
+ * order regardless of completion order.
  */
 
 #ifndef TOLEO_SIM_SWEEP_HH
@@ -38,7 +38,7 @@ struct SweepOptions
     std::uint64_t warmupRefs = 30000;
     std::uint64_t measureRefs = 60000;
     std::uint64_t seed = 42;
-    /** Worker threads; cells run serially when 1. */
+    /** Pool threads, the caller included; cells run serially when 1. */
     unsigned jobs = 1;
     /**
      * Private-phase threads *inside* each cell's System(s)
@@ -49,12 +49,10 @@ struct SweepOptions
      * bit-identical for any value.
      */
     unsigned intraThreads = 1;
-    /** Replay cells from this trace file instead of synthesizing. */
-    std::string tracePath;
     /**
-     * Already-loaded trace to replay; takes precedence over
-     * tracePath.  Cells share the instance read-only, so a sweep
-     * validates and decodes the file once, not once per cell.
+     * Replay every cell from this loaded trace instead of
+     * synthesizing (SystemConfig::trace).  Cells share the instance
+     * read-only, so a sweep decodes the file once, not once per cell.
      */
     std::shared_ptr<const TraceFile> trace;
     /** Record the (single) cell's generator streams to this file. */
@@ -104,12 +102,12 @@ std::vector<SweepCell> makeSweepGrid(
     const std::vector<EngineKind> &engines);
 
 /**
- * Run every cell, using opts.jobs worker threads.
+ * Run every cell on a pool of opts.jobs threads, the caller included.
  *
  * A cell that throws does not tear down the process: the first
- * exception is captured, the remaining queued cells are abandoned,
- * in-flight cells finish, and the exception is rethrown on the
- * calling thread after the pool joins.
+ * exception is captured, no further cell starts, in-flight cells
+ * finish, and the exception is rethrown on the calling thread after
+ * the pool's barrier.
  *
  * @param cellFn Cell runner override; defaults to runSweepCell.
  * @return One SimStats per cell, in the order of @p cells.

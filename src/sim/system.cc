@@ -98,24 +98,19 @@ System::System(const SystemConfig &cfg)
         break;
     }
 
-    const bool replaying = cfg.trace || !cfg.tracePath.empty();
     // TraceError, not fatal(): every trace defect throws (see
     // trace_file.hh) so library callers can catch it.
-    if (replaying && !cfg.recordTracePath.empty())
+    if (cfg.trace && !cfg.recordTracePath.empty())
         throw TraceError(
             "a System cannot replay and record a trace at once");
-    if (replaying) {
-        trace_ = cfg.trace ? cfg.trace : TraceFile::open(cfg.tracePath);
-        if (trace_->workload() != cfg.workload) {
-            warn("trace '%s' was captured from workload '%s' but is "
+    if (cfg.trace) {
+        if (cfg.trace->workload() != cfg.workload)
+            warn("the trace was captured from workload '%s' but is "
                  "replayed under '%s' metadata",
-                 cfg.tracePath.empty() ? "<preloaded>"
-                                       : cfg.tracePath.c_str(),
-                 trace_->workload().c_str(), cfg.workload.c_str());
-        }
+                 cfg.trace->workload().c_str(), cfg.workload.c_str());
         for (unsigned c = 0; c < cfg.numCores; ++c)
             gens_.push_back(
-                std::make_unique<TraceReplayGen>(winfo_, trace_, c));
+                std::make_unique<TraceReplayGen>(winfo_, cfg.trace, c));
     } else {
         for (unsigned c = 0; c < cfg.numCores; ++c)
             gens_.push_back(makeWorkload(cfg.workload, c, cfg.seed));
@@ -560,11 +555,8 @@ System::planEpoch()
 void
 System::recordTimelineSample(std::uint64_t insts)
 {
-    // Usage = statically mapped flat entries for the RSS (the
-    // touched footprint) + dynamic entries (Fig 12).
-    const std::uint64_t usage = footprint_.size() * flatEntryBytes +
-                                devp_->store().dynamicBytes();
-    runStats_.usageTimeline.emplace_back(insts, usage);
+    runStats_.usageTimeline.emplace_back(
+        insts, devp_->store().usageBytes(footprint_.size()));
 }
 
 void
@@ -738,42 +730,12 @@ System::finishRun()
             : 0.0;
 
     if (devp_) {
-        // Page classification over the *RSS*: read-only and resident-
-        // but-cold pages never leave flat (their statically mapped
-        // entry), exactly as the paper derives flat usage from the
-        // OS-reported RSS (Section 7.2).  With a shared rack device
-        // the store-side counts aggregate every node (one version
-        // store really does hold the whole rack); per-node splits
-        // live in RackStats.
-        const auto b = devp_->store().breakdown();
-        const std::uint64_t fp = std::max<std::uint64_t>(
+        // Flat entries are mapped for the OS-reported RSS (Section
+        // 7.2): the touched footprint, or the workload's declared
+        // footprint where the window leaves resident pages cold.
+        out.usage = devp_->store().usage(
             footprint_.size(),
             winfo_.simFootprintBytes / pageSize * cfg_.numCores);
-        out.trip.uneven = b.uneven;
-        out.trip.full = b.full;
-        out.trip.flat = fp >= b.uneven + b.full
-                            ? fp - b.uneven - b.full
-                            : 0;
-
-        const std::uint64_t usage =
-            fp * flatEntryBytes + devp_->store().dynamicBytes();
-        out.toleoPeakUsageBytes = usage;
-
-        const double pages_per_tb = 1e12 / pageSize;
-        if (fp > 0) {
-            out.usagePerTb.flatGb =
-                pages_per_tb * flatEntryBytes / 1e9;
-            out.usagePerTb.unevenGb =
-                pages_per_tb *
-                (static_cast<double>(b.uneven) / fp) *
-                unevenEntryBytes / 1e9;
-            out.usagePerTb.fullGb =
-                pages_per_tb * (static_cast<double>(b.full) / fp) *
-                fullEntryAllocBytes / 1e9;
-        }
-        out.avgEntryBytesPerPage =
-            fp > 0 ? static_cast<double>(usage) / fp
-                   : static_cast<double>(flatEntryBytes);
         out.toleoResets = devp_->store().resets();
         out.toleoUpgrades = devp_->store().upgradesToUneven() +
                             devp_->store().upgradesToFull();
@@ -890,21 +852,22 @@ statsToJson(const SimStats &stats)
     j["macCacheHitRate"] = stats.macCacheHitRate;
     j["stealthCacheHitRate"] = stats.stealthCacheHitRate;
 
+    const TripStore::Usage &u = stats.usage;
     Json trip = Json::object();
-    trip["flatPages"] = stats.trip.flat;
-    trip["unevenPages"] = stats.trip.uneven;
-    trip["fullPages"] = stats.trip.full;
+    trip["flatPages"] = u.flatPages;
+    trip["unevenPages"] = u.unevenPages;
+    trip["fullPages"] = u.fullPages;
     j["trip"] = std::move(trip);
 
-    Json usage = Json::object();
-    usage["flatGbPerTb"] = stats.usagePerTb.flatGb;
-    usage["unevenGbPerTb"] = stats.usagePerTb.unevenGb;
-    usage["fullGbPerTb"] = stats.usagePerTb.fullGb;
-    usage["totalGbPerTb"] = stats.usagePerTb.totalGb();
-    j["usagePerTb"] = std::move(usage);
+    Json perTb = Json::object();
+    perTb["flatGbPerTb"] = u.flatGbPerTb;
+    perTb["unevenGbPerTb"] = u.unevenGbPerTb;
+    perTb["fullGbPerTb"] = u.fullGbPerTb;
+    perTb["totalGbPerTb"] = u.totalGbPerTb();
+    j["usagePerTb"] = std::move(perTb);
 
-    j["toleoPeakUsageBytes"] = stats.toleoPeakUsageBytes;
-    j["avgEntryBytesPerPage"] = stats.avgEntryBytesPerPage;
+    j["toleoPeakUsageBytes"] = u.bytes;
+    j["avgEntryBytesPerPage"] = u.avgEntryBytesPerPage;
     j["toleoResets"] = stats.toleoResets;
     j["toleoUpgrades"] = stats.toleoUpgrades;
 
@@ -991,9 +954,10 @@ statsCsvRow(const SimStats &stats)
        << ',' << stats.dataBpi << ',' << stats.macBpi << ','
        << stats.stealthBpi << ',' << stats.dummyBpi << ','
        << stats.macCacheHitRate << ',' << stats.stealthCacheHitRate
-       << ',' << stats.trip.flat << ',' << stats.trip.uneven << ','
-       << stats.trip.full << ',' << stats.toleoPeakUsageBytes << ','
-       << stats.avgEntryBytesPerPage << ',' << stats.toleoResets
+       << ',' << stats.usage.flatPages << ','
+       << stats.usage.unevenPages << ',' << stats.usage.fullPages
+       << ',' << stats.usage.bytes << ','
+       << stats.usage.avgEntryBytesPerPage << ',' << stats.toleoResets
        << ',' << stats.toleoUpgrades << ','
        << (stats.serving.arrival.empty() ? "closed"
                                          : stats.serving.arrival)

@@ -89,16 +89,11 @@ struct SystemConfig
     /** Timeline samples to keep (Figure 12). */
     unsigned timelinePoints = 64;
     /**
-     * Replay per-core reference streams from this trace file (see
-     * workload/trace_file.hh) instead of synthesizing them; the
-     * workload name still selects the Table-2 metadata (footprint,
-     * MLP) the timing model uses.
-     */
-    std::string tracePath;
-    /**
-     * Already-loaded trace to replay; takes precedence over
-     * tracePath so sweep drivers can validate/decode once and share
-     * the read-only instance across cells.
+     * Replay per-core reference streams from this loaded trace (see
+     * workload/trace_file.hh; TraceFile::open reads and validates a
+     * file) instead of synthesizing them; the workload name still
+     * selects the Table-2 metadata (footprint, MLP) the timing model
+     * uses.  Read-only, so every cell of a sweep shares one instance.
      */
     std::shared_ptr<const TraceFile> trace;
     /** Record every core's generated stream to this trace file. */
@@ -174,10 +169,13 @@ struct SimStats
     double macCacheHitRate = 0.0;     ///< Fig 7
     double stealthCacheHitRate = 0.0; ///< Fig 7
 
-    TripStore::Breakdown trip;            ///< Fig 10
-    std::uint64_t toleoPeakUsageBytes = 0; ///< Fig 12 peak
-    ToleoDevice::UsagePerTb usagePerTb;    ///< Fig 11
-    double avgEntryBytesPerPage = 0.0;     ///< Table 4
+    /**
+     * Toleo only: the store's usage over the run's RSS (Figs 10-12,
+     * Table 4).  `usage.bytes`, the end-of-run device bytes, is
+     * serialized as `toleoPeakUsageBytes`.  A shared rack store
+     * counts every node's dynamic entries.
+     */
+    TripStore::Usage usage;
 
     /** (instructions, usage bytes) samples over time (Fig 12). */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> usageTimeline;
@@ -341,8 +339,6 @@ class System
     std::vector<std::unique_ptr<TraceGen>> gens_;
     WorkloadInfo winfo_;
 
-    /** Backing trace when cfg_.tracePath is set (shared, read-only). */
-    std::shared_ptr<const TraceFile> trace_;
     /** Capture sink when cfg_.recordTracePath is set; flushed by run(). */
     std::unique_ptr<TraceWriter> traceWriter_;
 

@@ -9,30 +9,6 @@
 
 namespace toleo {
 
-double
-TripAnalysisResult::flatFraction() const
-{
-    return footprintPages
-               ? static_cast<double>(flatPages) / footprintPages
-               : 1.0;
-}
-
-double
-TripAnalysisResult::unevenFraction() const
-{
-    return footprintPages
-               ? static_cast<double>(unevenPages) / footprintPages
-               : 0.0;
-}
-
-double
-TripAnalysisResult::fullFraction() const
-{
-    return footprintPages
-               ? static_cast<double>(fullPages) / footprintPages
-               : 0.0;
-}
-
 TripAnalysisResult
 runTripAnalysis(const TripAnalysisConfig &cfg)
 {
@@ -60,46 +36,20 @@ runTripAnalysis(const TripAnalysisConfig &cfg)
             auto cr = cache.access(blockOf(ref.addr), ref.isWrite);
             if (cr.writebackTag)
                 store.update(*cr.writebackTag);
-            if ((++refs % sample_every) == 0) {
+            if ((++refs % sample_every) == 0)
                 res.timeline.emplace_back(
-                    refs, footprint.size() * flatEntryBytes +
-                              store.dynamicBytes());
-            }
+                    refs, store.usageBytes(footprint.size()));
         }
     }
 
-    const auto b = store.breakdown();
     // Flat entries are statically allocated for the OS-reported RSS
     // (Section 7.2), which includes resident-but-cold pages the
     // window never touches (allocator arenas, cold KV values).
-    const std::uint64_t declared_pages =
-        workloadInfo(cfg.workload).simFootprintBytes / pageSize *
-        cfg.cores;
-    res.footprintPages =
-        std::max<std::uint64_t>(footprint.size(), declared_pages);
-    res.unevenPages = b.uneven;
-    res.fullPages = b.full;
-    res.flatPages = res.footprintPages >= b.uneven + b.full
-                        ? res.footprintPages - b.uneven - b.full
-                        : 0;
+    res.usage = store.usage(
+        footprint.size(), workloadInfo(cfg.workload).simFootprintBytes /
+                              pageSize * cfg.cores);
     res.updates = store.updates();
     res.resets = store.resets();
-
-    if (res.footprintPages > 0) {
-        const double fp = static_cast<double>(res.footprintPages);
-        res.avgEntryBytesPerPage =
-            (fp * flatEntryBytes + b.uneven * unevenEntryBytes +
-             b.full * fullEntryBytes) /
-            fp;
-        const double pages_per_tb = 1e12 / pageSize;
-        res.flatGbPerTb = pages_per_tb * flatEntryBytes / 1e9;
-        res.unevenGbPerTb = pages_per_tb * (b.uneven / fp) *
-                            unevenEntryBytes / 1e9;
-        res.fullGbPerTb = pages_per_tb * (b.full / fp) *
-                          fullEntryAllocBytes / 1e9;
-    } else {
-        res.avgEntryBytesPerPage = flatEntryBytes;
-    }
     return res;
 }
 

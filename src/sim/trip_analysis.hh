@@ -42,28 +42,10 @@ struct TripAnalysisConfig
 struct TripAnalysisResult
 {
     std::string workload;
-    std::uint64_t footprintPages = 0;
-    std::uint64_t flatPages = 0;
-    std::uint64_t unevenPages = 0;
-    std::uint64_t fullPages = 0;
+    /** The store's usage over the RSS (Figs 10, 11, Table 4). */
+    TripStore::Usage usage;
     std::uint64_t updates = 0;
     std::uint64_t resets = 0;
-
-    double flatFraction() const;
-    double unevenFraction() const;
-    double fullFraction() const;
-
-    /** Trusted bytes per touched page (Table 4 average). */
-    double avgEntryBytesPerPage = 0.0;
-
-    /** GB of Toleo per TB protected, split by kind (Figure 11). */
-    double flatGbPerTb = 0.0;
-    double unevenGbPerTb = 0.0;
-    double fullGbPerTb = 0.0;
-    double totalGbPerTb() const
-    {
-        return flatGbPerTb + unevenGbPerTb + fullGbPerTb;
-    }
 
     /** (references, usage bytes) over time (Figure 12). */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> timeline;

@@ -118,11 +118,4 @@ ToleoDevice::spaceExhausted() const
     return store_.dynamicBytes() >= dynamicCapacityBytes();
 }
 
-std::uint64_t
-ToleoDevice::usageBytes() const
-{
-    return store_.touchedPages() * flatEntryBytes +
-           store_.dynamicBytes();
-}
-
 } // namespace toleo

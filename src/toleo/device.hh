@@ -84,24 +84,16 @@ class ToleoDevice
     bool spaceExhausted() const;
 
     /**
-     * Device usage attributable to the *touched* footprint: static
-     * flat entries for touched pages plus dynamic entries.  This is
-     * the quantity Figure 12 plots over time.
+     * Bytes in use for the pages this device has seen an UPDATE for:
+     * their flat entries plus the dynamic entries.  Figure 12 prices
+     * the whole RSS instead (TripStore::usageBytes), cold pages
+     * included.
      */
-    std::uint64_t usageBytes() const;
-
-    /**
-     * Usage normalized per TB of protected data (Figure 11), split by
-     * entry kind; System::finishRun fills it from the RSS's
-     * Trip-format fractions.
-     */
-    struct UsagePerTb
+    std::uint64_t
+    usageBytes() const
     {
-        double flatGb = 0.0;
-        double unevenGb = 0.0;
-        double fullGb = 0.0;
-        double totalGb() const { return flatGb + unevenGb + fullGb; }
-    };
+        return store_.usageBytes(store_.touchedPages());
+    }
 
     /**
      * Multi-initiator support (rack mode, Figure 1): one device

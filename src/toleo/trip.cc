@@ -318,31 +318,33 @@ TripStore::dynamicBytes() const
            fullCount_ * fullEntryAllocBytes;
 }
 
-TripStore::Breakdown
-TripStore::breakdown() const
+TripStore::Usage
+TripStore::usage(std::uint64_t touchedPages,
+                 std::uint64_t declaredPages) const
 {
-    Breakdown b;
-    for (const PageState &ps : pages_) {
-        switch (ps.fmt) {
-          case TripFormat::Flat: ++b.flat; break;
-          case TripFormat::Uneven: ++b.uneven; break;
-          case TripFormat::Full: ++b.full; break;
-        }
+    Usage u;
+    u.rssPages = std::max(touchedPages, declaredPages);
+    u.unevenPages = unevenCount_;
+    u.fullPages = fullCount_;
+    const std::uint64_t dynamic = unevenCount_ + fullCount_;
+    u.flatPages = u.rssPages >= dynamic ? u.rssPages - dynamic : 0;
+    u.bytes = usageBytes(u.rssPages);
+    if (u.rssPages == 0) {
+        u.avgEntryBytesPerPage = flatEntryBytes;
+        return u;
     }
-    return b;
-}
-
-double
-TripStore::avgEntryBytesPerPage() const
-{
-    if (pages_.empty())
-        return static_cast<double>(flatEntryBytes);
-    const Breakdown b = breakdown();
-    const double total =
-        static_cast<double>(pages_.size()) * flatEntryBytes +
-        static_cast<double>(b.uneven) * unevenEntryBytes +
-        static_cast<double>(b.full) * fullEntryBytes;
-    return total / static_cast<double>(pages_.size());
+    u.avgEntryBytesPerPage =
+        static_cast<double>(u.rssPages * flatEntryBytes +
+                            unevenCount_ * unevenEntryBytes +
+                            fullCount_ * fullEntryBytes) /
+        static_cast<double>(u.rssPages);
+    const double pagesPerTb = 1e12 / pageSize;
+    u.flatGbPerTb = pagesPerTb * flatEntryBytes / 1e9;
+    u.unevenGbPerTb =
+        pagesPerTb * u.share(unevenCount_) * unevenEntryBytes / 1e9;
+    u.fullGbPerTb =
+        pagesPerTb * u.share(fullCount_) * fullEntryAllocBytes / 1e9;
+    return u;
 }
 
 } // namespace toleo

@@ -94,17 +94,67 @@ class TripStore
     /** Dynamically allocated entry bytes (uneven + full). */
     std::uint64_t dynamicBytes() const;
 
-    /** Trip-format page-count breakdown. */
-    struct Breakdown
+    /**
+     * Device bytes a resident set of @p rssPages costs: a statically
+     * mapped 12 B flat entry per page plus every dynamic entry
+     * allocated so far.  Figure 12 samples this over the run.
+     */
+    std::uint64_t
+    usageBytes(std::uint64_t rssPages) const
     {
-        std::uint64_t flat = 0;
-        std::uint64_t uneven = 0;
-        std::uint64_t full = 0;
-    };
-    Breakdown breakdown() const;
+        return rssPages * flatEntryBytes + dynamicBytes();
+    }
 
-    /** Average trusted bytes per touched page (Table 4 "Avg"). */
-    double avgEntryBytesPerPage() const;
+    /**
+     * The Trip usage of one resident set (Figs 10-12, Table 4),
+     * priced from the store's format counts.  The two byte figures
+     * differ on purpose: a full entry is 216 B of versions (Table 4,
+     * the paper's 18:1) held in four 56 B overflow blocks, 224 B of
+     * device memory (Figs 11-12).
+     */
+    struct Usage
+    {
+        /** Pages with a flat entry: flat entries are mapped for the
+         *  OS-reported RSS, cold pages included (Section 7.2). */
+        std::uint64_t rssPages = 0;
+        /** RSS pages by format (Figure 10).  flat = rss - uneven -
+         *  full, clamped at 0: a rack's shared store counts every
+         *  node's dynamic entries against one node's RSS. */
+        std::uint64_t flatPages = 0;
+        std::uint64_t unevenPages = 0;
+        std::uint64_t fullPages = 0;
+        /** Device bytes, usageBytes(rssPages); full at 224 B. */
+        std::uint64_t bytes = 0;
+        /** Table 4 average entry bytes per page; full at 216 B. */
+        double avgEntryBytesPerPage = 0.0;
+        /** Figure 11, GB of device per TB protected: every page's
+         *  12 B, plus 56 B and 224 B times the uneven and full
+         *  shares of the RSS. */
+        double flatGbPerTb = 0.0;
+        double unevenGbPerTb = 0.0;
+        double fullGbPerTb = 0.0;
+
+        double
+        totalGbPerTb() const
+        {
+            return flatGbPerTb + unevenGbPerTb + fullGbPerTb;
+        }
+
+        /** Share of the RSS that @p pages make up (0 if empty). */
+        double
+        share(std::uint64_t pages) const
+        {
+            return rssPages ? static_cast<double>(pages) / rssPages
+                            : 0.0;
+        }
+    };
+
+    /**
+     * Price a resident set of max(@p touchedPages, @p declaredPages)
+     * pages.  An empty set averages 12 B and splits nothing.
+     */
+    Usage usage(std::uint64_t touchedPages,
+                std::uint64_t declaredPages) const;
 
     std::uint64_t resets() const { return resets_; }
     std::uint64_t upgradesToUneven() const { return upToUneven_; }

@@ -11,6 +11,9 @@
  * instead of std::terminate.
  */
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -112,16 +115,50 @@ TEST(SweepErrors, CellExceptionSurfacesAfterJoin)
 TEST(SweepErrors, FirstErrorWinsAndStopsDispatch)
 {
     const auto cells = smallGrid();
+    ASSERT_GT(cells.size(), 1u);
+    unsigned calls = 0;
     try {
         runSweep(cells, tinyWindow(1), {},
-                 [](const SweepCell &, const SweepOptions &)
+                 [&calls](const SweepCell &, const SweepOptions &)
                      -> SimStats {
+                     ++calls;
                      throw std::runtime_error("cell 0 failed");
                  });
         FAIL() << "expected runSweep to rethrow";
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "cell 0 failed");
     }
+    // One job: after cell 0 fails, no later cell starts.
+    EXPECT_EQ(calls, 1u);
+}
+
+TEST(SweepBalance, SlowCellDoesNotHoldBackTheRest)
+{
+    // Cells differ in cost, so each pool thread claims the next cell
+    // as it frees up: while one thread is stuck in cell 0, the other
+    // runs every remaining cell.  A static split of the cells would
+    // leave some queued behind cell 0 until its wait timed out.
+    const auto cells = smallGrid();
+    ASSERT_GT(cells.size(), 2u);
+    std::mutex m;
+    std::condition_variable cv;
+    std::size_t others = 0; // guarded by m
+    bool sawAll = false;
+    runSweep(cells, tinyWindow(2), {},
+             [&](const SweepCell &cell, const SweepOptions &) {
+                 std::unique_lock<std::mutex> lock(m);
+                 if (cell.workload == cells[0].workload &&
+                     cell.engine == cells[0].engine) {
+                     sawAll = cv.wait_for(
+                         lock, std::chrono::seconds(20),
+                         [&] { return others == cells.size() - 1; });
+                 } else {
+                     ++others;
+                     cv.notify_all();
+                 }
+                 return SimStats{};
+             });
+    EXPECT_TRUE(sawAll);
 }
 
 namespace {

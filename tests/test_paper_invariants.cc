@@ -75,10 +75,9 @@ TEST_P(WorkloadInvariants, TripFractionsConsistent)
     cfg.workload = GetParam();
     cfg.cores = 4;
     cfg.refsPerCore = 100000;
-    const auto r = runTripAnalysis(cfg);
-    EXPECT_EQ(r.flatPages + r.unevenPages + r.fullPages,
-              r.footprintPages);
-    EXPECT_GE(r.avgEntryBytesPerPage,
+    const auto u = runTripAnalysis(cfg).usage;
+    EXPECT_EQ(u.flatPages + u.unevenPages + u.fullPages, u.rssPages);
+    EXPECT_GE(u.avgEntryBytesPerPage,
               static_cast<double>(flatEntryBytes));
 }
 

@@ -440,7 +440,7 @@ TEST(RackGolden, FourNodeFixedSeedStatsArePinned)
         ASSERT_TRUE(parseArrivalSpec(input.arrival, opts.arrival, err))
             << err;
         if (input.trace)
-            opts.tracePath = input.trace;
+            opts.trace = TraceFile::open(input.trace);
         const RackStats stats = runRackSweepCell(
             {input.workload, EngineKind::Toleo}, opts);
         const std::string got = rackStatsToJson(stats).dump(2) + "\n";

@@ -26,6 +26,7 @@
 #include "sim/system.hh"
 #include "workload/request.hh"
 #include "workload/request_apps.hh"
+#include "workload/trace_file.hh"
 #include "workload/workload.hh"
 
 using namespace toleo;
@@ -476,7 +477,7 @@ TEST(ServingTrace, RecordClosedReplayOpenRoundTrip)
     // so the fixed requestRefs grouping segments the stream; all
     // non-serving stats still match the capture run byte-for-byte.
     SweepOptions rep = servingWindow("poisson:1e6");
-    rep.tracePath = path;
+    rep.trace = TraceFile::open(path);
     const Json replayed = statsToJson(runSweepCell(cell, rep));
     ASSERT_TRUE(replayed.has("serving"));
     EXPECT_EQ(recorded.dump(2), dropKey(replayed, "serving").dump(2));

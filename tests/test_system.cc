@@ -116,9 +116,10 @@ TEST(System, StealthCacheWorseForKvStore)
 TEST(System, TripMostPagesFlatForDp)
 {
     const auto st = runSmall("bsw", EngineKind::Toleo, 60000);
-    const auto total = st.trip.flat + st.trip.uneven + st.trip.full;
+    const TripStore::Usage &u = st.usage;
+    const auto total = u.flatPages + u.unevenPages + u.fullPages;
     ASSERT_GT(total, 0u);
-    EXPECT_GT(static_cast<double>(st.trip.flat) / total, 0.9);
+    EXPECT_GT(static_cast<double>(u.flatPages) / total, 0.9);
 }
 
 TEST(System, TripUnevenShowsUpForFmi)
@@ -128,9 +129,9 @@ TEST(System, TripUnevenShowsUpForFmi)
     TripAnalysisConfig cfg;
     cfg.workload = "fmi";
     cfg.refsPerCore = 300000;
-    const auto r = runTripAnalysis(cfg);
-    EXPECT_GT(r.unevenPages, 0u);
-    EXPECT_GT(r.unevenFraction(), 0.03);
+    const auto u = runTripAnalysis(cfg).usage;
+    EXPECT_GT(u.unevenPages, 0u);
+    EXPECT_GT(u.share(u.unevenPages), 0.03);
 }
 
 TEST(System, TrafficDecompositionSane)
@@ -159,7 +160,7 @@ TEST(System, ToleoUsageTimelineMonotoneFootprint)
     for (std::size_t i = 1; i < st.usageTimeline.size(); ++i)
         EXPECT_GE(st.usageTimeline[i].second,
                   st.usageTimeline[i - 1].second);
-    EXPECT_GT(st.toleoPeakUsageBytes, 0u);
+    EXPECT_GT(st.usage.bytes, 0u);
 }
 
 TEST(System, FootprintCountsEveryDistinctCapturedPage)
@@ -201,12 +202,13 @@ TEST(System, FootprintCountsEveryDistinctCapturedPage)
 
     SystemConfig cfg = makeScaledConfig("bsw", EngineKind::Toleo, 2);
     cfg.epochRefs = 512;
-    cfg.tracePath = path;
+    cfg.trace = TraceFile::open(path);
     // Replay exactly the captured window: warmup + measure = one lap.
     const std::uint64_t warmup = passPages;
     const std::uint64_t measure = passPages * passes - warmup;
     const auto rss = [](const SimStats &st) {
-        return st.trip.flat + st.trip.uneven + st.trip.full;
+        return st.usage.flatPages + st.usage.unevenPages +
+               st.usage.fullPages;
     };
 
     System serial(cfg);

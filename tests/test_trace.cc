@@ -216,7 +216,7 @@ TEST(TraceCapture, RecordedAndReplayedRunsMatchLiveByteForByte)
     // live generator's stats byte-for-byte -- the acceptance
     // contract of the trace subsystem.
     SweepOptions rep = tinyWindow();
-    rep.tracePath = path;
+    rep.trace = TraceFile::open(path);
     const std::string replayed =
         statsToJson(runSweepCell(cell, rep)).dump(2);
     EXPECT_EQ(live, replayed);
@@ -235,7 +235,7 @@ TEST(TraceCapture, ReplayUnderADifferentEngineStillRuns)
     // cell relies on this), with a shorter and a longer window than
     // the capture (the latter wraps).
     SweepOptions rep = tinyWindow();
-    rep.tracePath = path;
+    rep.trace = TraceFile::open(path);
     rep.measureRefs = 500;
     EXPECT_GT(runSweepCell({"bsw", EngineKind::Merkle}, rep).ipc, 0.0);
     rep.measureRefs = 6000;
@@ -254,11 +254,18 @@ TEST(TraceErrors, OversizedWorkloadNameIsRejected)
 
 TEST(TraceCapture, ReplayAndRecordAtOnceThrows)
 {
+    const std::string path = tempPath("trace_conflict_in.trc");
+    const auto refs = sampleRefs(1);
+    TraceWriter writer(1, "bsw", 42);
+    writer.append(0, refs.data(), refs.size());
+    writer.writeTo(path);
+
     SweepOptions opts = tinyWindow();
-    opts.tracePath = "whatever.trc";
+    opts.trace = TraceFile::open(path);
     opts.recordTracePath = tempPath("trace_conflict.trc");
     EXPECT_THROW(runSweepCell({"bsw", EngineKind::Toleo}, opts),
                  TraceError);
+    std::remove(path.c_str());
 }
 
 TEST(TraceCapture, RecordingAMultiCellSweepThrows)
@@ -427,7 +434,7 @@ TEST(TraceFixture, CommittedFixtureLoadsAndReplays)
     EXPECT_GT(trace->recordCount(1), 0u);
 
     SweepOptions opts = tinyWindow();
-    opts.tracePath = TOLEO_TRACE_FIXTURE;
+    opts.trace = trace;
     const SimStats stats =
         runSweepCell({"bsw", EngineKind::Toleo}, opts);
     EXPECT_GT(stats.ipc, 0.0);

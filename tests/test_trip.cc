@@ -236,22 +236,56 @@ TEST(Trip, BreakdownCountsFormats)
     t.update(blk(22, 0));
     for (int i = 0; i < 140; ++i)
         t.update(blk(22, 0));        // full
-    auto b = t.breakdown();
-    EXPECT_EQ(b.flat, 1u);
-    EXPECT_EQ(b.uneven, 1u);
-    EXPECT_EQ(b.full, 1u);
+    const TripStore::Usage u = t.usage(t.touchedPages(), 0);
+    EXPECT_EQ(u.flatPages, 1u);
+    EXPECT_EQ(u.unevenPages, 1u);
+    EXPECT_EQ(u.fullPages, 1u);
 }
 
 TEST(Trip, AvgEntryBytesMatchesTable4Formulas)
 {
     TripStore t(noResetConfig());
+    const auto avg = [&t] {
+        return t.usage(t.touchedPages(), 0).avgEntryBytesPerPage;
+    };
     // One flat page only: 12 B.
     t.update(blk(30, 0));
-    EXPECT_DOUBLE_EQ(t.avgEntryBytesPerPage(), 12.0);
+    EXPECT_DOUBLE_EQ(avg(), 12.0);
     // Add one uneven page: (12 + 12+56)/2 = 40.
     t.update(blk(31, 0));
     t.update(blk(31, 0));
-    EXPECT_DOUBLE_EQ(t.avgEntryBytesPerPage(), 40.0);
+    EXPECT_DOUBLE_EQ(avg(), 40.0);
+
+    // Add one full page and declare a 10-page RSS, 7 of it cold.
+    t.update(blk(32, 0));
+    for (int i = 0; i < 140; ++i)
+        t.update(blk(32, 0));
+    ASSERT_EQ(t.formatOf(32), TripFormat::Full);
+    const TripStore::Usage u = t.usage(t.touchedPages(), 10);
+    EXPECT_EQ(u.rssPages, 10u);
+    EXPECT_EQ(u.unevenPages, 1u);
+    EXPECT_EQ(u.fullPages, 1u);
+    EXPECT_EQ(u.flatPages, 10u - 1 - 1);
+    // Table 4 counts a full entry's 216 B of versions ...
+    EXPECT_DOUBLE_EQ(u.avgEntryBytesPerPage,
+                     (10 * 12 + 56 + 216) / 10.0);
+    // ... while the device bytes and Fig 11 count its 224 B
+    // allocation.
+    EXPECT_EQ(u.bytes, 10u * 12 + 56 + 224);
+    const double pagesPerTb = 1e12 / 4096;
+    EXPECT_DOUBLE_EQ(u.flatGbPerTb, pagesPerTb * 12 / 1e9);
+    EXPECT_DOUBLE_EQ(u.unevenGbPerTb, pagesPerTb * 0.1 * 56 / 1e9);
+    EXPECT_DOUBLE_EQ(u.fullGbPerTb, pagesPerTb * 0.1 * 224 / 1e9);
+
+    // The touched count wins over a smaller declared RSS, and flat
+    // clamps at 0 when the dynamic entries outnumber the RSS.
+    EXPECT_EQ(t.usage(t.touchedPages(), 1).rssPages, 3u);
+    EXPECT_EQ(t.usage(1, 0).flatPages, 0u);
+    // An empty RSS averages a flat entry and splits nothing.
+    const TripStore::Usage none = TripStore(noResetConfig()).usage(0, 0);
+    EXPECT_DOUBLE_EQ(none.avgEntryBytesPerPage, 12.0);
+    EXPECT_EQ(none.bytes, 0u);
+    EXPECT_DOUBLE_EQ(none.totalGbPerTb(), 0.0);
 }
 
 TEST(Trip, ResetProbabilityIsCalibrated)
@@ -454,7 +488,16 @@ TEST(Trip, PageTableGrowthKeepsEveryPage)
         EXPECT_EQ(t.fullVersion(l.blk), l.version) << "page " << pg;
         EXPECT_EQ(t.formatOf(pg), l.fmt) << "page " << pg;
     }
-    const TripStore::Breakdown b = t.breakdown();
-    EXPECT_EQ(b.flat + b.uneven + b.full, t.touchedPages());
-    EXPECT_GT(b.uneven + b.full, 0u);
+    // The store's format counters agree with every page's format.
+    std::uint64_t uneven = 0, full = 0;
+    for (const PageNum pg : touched) {
+        uneven += t.formatOf(pg) == TripFormat::Uneven;
+        full += t.formatOf(pg) == TripFormat::Full;
+    }
+    const TripStore::Usage u = t.usage(t.touchedPages(), 0);
+    EXPECT_EQ(u.unevenPages, uneven);
+    EXPECT_EQ(u.fullPages, full);
+    EXPECT_EQ(u.flatPages + u.unevenPages + u.fullPages,
+              t.touchedPages());
+    EXPECT_GT(uneven + full, 0u);
 }

@@ -5,10 +5,15 @@
  * Section 7.2 reports.
  */
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "sim/trip_analysis.hh"
 #include "workload/workload.hh"
 
@@ -29,47 +34,48 @@ quick(const std::string &wl, std::uint64_t refs = 300000)
 
 TEST(TripAnalysis, FractionsSumToOne)
 {
-    const auto r = quick("pr");
-    EXPECT_NEAR(r.flatFraction() + r.unevenFraction() +
-                    r.fullFraction(),
+    const auto u = quick("pr").usage;
+    EXPECT_NEAR(u.share(u.flatPages) + u.share(u.unevenPages) +
+                    u.share(u.fullPages),
                 1.0, 1e-9);
-    EXPECT_EQ(r.flatPages + r.unevenPages + r.fullPages,
-              r.footprintPages);
+    EXPECT_EQ(u.flatPages + u.unevenPages + u.fullPages, u.rssPages);
 }
 
 TEST(TripAnalysis, Deterministic)
 {
     const auto a = quick("bfs", 100000);
     const auto b = quick("bfs", 100000);
-    EXPECT_EQ(a.unevenPages, b.unevenPages);
+    EXPECT_EQ(a.usage.unevenPages, b.usage.unevenPages);
     EXPECT_EQ(a.updates, b.updates);
-    EXPECT_EQ(a.footprintPages, b.footprintPages);
+    EXPECT_EQ(a.usage.rssPages, b.usage.rssPages);
 }
 
 TEST(TripAnalysis, DpWorkloadsStayFlat)
 {
     for (const char *wl : {"bsw", "chain"}) {
-        const auto r = quick(wl);
-        EXPECT_GT(r.flatFraction(), 0.96) << wl;
+        const auto u = quick(wl).usage;
+        EXPECT_GT(u.share(u.flatPages), 0.96) << wl;
     }
 }
 
 TEST(TripAnalysis, KvStoresAreMostlyFlatOverRss)
 {
     for (const char *wl : {"redis", "memcached"}) {
-        const auto r = quick(wl);
-        EXPECT_GT(r.flatFraction(), 0.9) << wl;
+        const auto u = quick(wl).usage;
+        EXPECT_GT(u.share(u.flatPages), 0.9) << wl;
     }
 }
 
 TEST(TripAnalysis, FmiHasWorstVersionLocality)
 {
-    const auto fmi = quick("fmi");
+    const auto unevenShare = [](const std::string &wl) {
+        const auto u = quick(wl).usage;
+        return u.share(u.unevenPages);
+    };
+    const double fmi = unevenShare("fmi");
     for (const char *wl : {"bsw", "chain", "dbg", "pileup", "redis",
-                           "memcached", "hyrise", "llama2-gen"}) {
-        EXPECT_GT(fmi.unevenFraction(), quick(wl).unevenFraction())
-            << wl;
-    }
+                           "memcached", "hyrise", "llama2-gen"})
+        EXPECT_GT(fmi, unevenShare(wl)) << wl;
 }
 
 TEST(TripAnalysis, GraphsShowUnevenPages)
@@ -77,9 +83,9 @@ TEST(TripAnalysis, GraphsShowUnevenPages)
     // Short windows only begin the drift; the bench runs 2M refs per
     // core where graphs reach the paper's 10-30% band.
     for (const char *wl : {"pr", "sssp", "bfs"}) {
-        const auto r = quick(wl);
-        EXPECT_GT(r.unevenFraction(), 0.01) << wl;
-        EXPECT_LT(r.unevenFraction(), 0.5) << wl;
+        const auto u = quick(wl).usage;
+        EXPECT_GT(u.share(u.unevenPages), 0.01) << wl;
+        EXPECT_LT(u.share(u.unevenPages), 0.5) << wl;
     }
 }
 
@@ -88,20 +94,20 @@ TEST(TripAnalysis, AvgEntrySizeBounded)
     // Table 4: average entry must lie between pure-flat (12 B) and
     // flat+uneven (68 B) for every workload.
     for (const auto &wl : paperWorkloads()) {
-        const auto r = quick(wl, 150000);
-        EXPECT_GE(r.avgEntryBytesPerPage, 12.0) << wl;
-        EXPECT_LT(r.avgEntryBytesPerPage, 68.0) << wl;
+        const auto u = quick(wl, 150000).usage;
+        EXPECT_GE(u.avgEntryBytesPerPage, 12.0) << wl;
+        EXPECT_LT(u.avgEntryBytesPerPage, 68.0) << wl;
     }
 }
 
 TEST(TripAnalysis, UsagePerTbMatchesArithmetic)
 {
-    const auto r = quick("pr");
+    const auto u = quick("pr").usage;
     // Flat part is footprint-independent: 1e12/4096 * 12 B.
-    EXPECT_NEAR(r.flatGbPerTb, 1e12 / 4096 * 12 / 1e9, 1e-9);
+    EXPECT_NEAR(u.flatGbPerTb, 1e12 / 4096 * 12 / 1e9, 1e-9);
     // Uneven part follows the measured fraction.
-    EXPECT_NEAR(r.unevenGbPerTb,
-                1e12 / 4096 * r.unevenFraction() * 56 / 1e9, 1e-6);
+    EXPECT_NEAR(u.unevenGbPerTb,
+                1e12 / 4096 * u.share(u.unevenPages) * 56 / 1e9, 1e-6);
 }
 
 TEST(TripAnalysis, TimelineIsMonotone)
@@ -131,7 +137,7 @@ TEST(TripAnalysis, RssNeverBelowTouchedPages)
         const auto r = quick(wl, 100000);
         const auto declared =
             workloadInfo(wl).simFootprintBytes / pageSize * 8;
-        EXPECT_GE(r.footprintPages, declared) << wl;
+        EXPECT_GE(r.usage.rssPages, declared) << wl;
     }
 }
 
@@ -152,11 +158,11 @@ TEST(TripProfileCache, DuplicateWorkloadsRunTheAnalysisOnce)
 
     // The memoized record matches an uncached run exactly.
     const TripAnalysisResult fresh = runTripAnalysis(cfg);
-    EXPECT_EQ(first.footprintPages, fresh.footprintPages);
+    EXPECT_EQ(first.usage.rssPages, fresh.usage.rssPages);
     EXPECT_EQ(first.updates, fresh.updates);
-    EXPECT_EQ(first.unevenPages, fresh.unevenPages);
-    EXPECT_DOUBLE_EQ(first.avgEntryBytesPerPage,
-                     fresh.avgEntryBytesPerPage);
+    EXPECT_EQ(first.usage.unevenPages, fresh.usage.unevenPages);
+    EXPECT_DOUBLE_EQ(first.usage.avgEntryBytesPerPage,
+                     fresh.usage.avgEntryBytesPerPage);
 }
 
 TEST(TripProfileCache, EveryConfigFieldKeysTheCache)
@@ -194,3 +200,68 @@ TEST(TripProfileCache, EveryConfigFieldKeysTheCache)
     EXPECT_EQ(cache.misses(), 1u + variants.size());
     EXPECT_EQ(cache.hits(), 0u);
 }
+
+#ifdef TOLEO_TRIP_GOLDEN
+
+TEST(TripGolden, PaperWorkloadsMatchCommittedRecord)
+{
+    // Pins every number the Fig 10-12 / Table 4 benches print from,
+    // for all 12 paper workloads at quick()'s 300k-refs/core window:
+    // RSS pages, pages by format, the Table 4 average, the Fig 11
+    // per-TB split, store updates/resets and the Fig 12 timeline.
+    // After an *intended* change, regenerate with
+    //
+    //   TOLEO_UPDATE_GOLDEN=1 ./tests/test_trip_analysis
+    //       --gtest_filter=TripGolden.*
+    //
+    // and commit the refreshed tests/data/golden_trip12.json.
+    Json doc = Json::array();
+    for (const auto &wl : paperWorkloads()) {
+        const auto r = quick(wl);
+        const TripStore::Usage &u = r.usage;
+        Json j = Json::object();
+        j["workload"] = wl;
+        j["rssPages"] = u.rssPages;
+        j["flatPages"] = u.flatPages;
+        j["unevenPages"] = u.unevenPages;
+        j["fullPages"] = u.fullPages;
+        j["avgEntryBytesPerPage"] = u.avgEntryBytesPerPage;
+        j["flatGbPerTb"] = u.flatGbPerTb;
+        j["unevenGbPerTb"] = u.unevenGbPerTb;
+        j["fullGbPerTb"] = u.fullGbPerTb;
+        j["updates"] = r.updates;
+        j["resets"] = r.resets;
+        Json timeline = Json::array();
+        for (const auto &sample : r.timeline) {
+            Json point = Json::array();
+            point.push_back(sample.first);
+            point.push_back(sample.second);
+            timeline.push_back(std::move(point));
+        }
+        j["timeline"] = std::move(timeline);
+        doc.push_back(std::move(j));
+    }
+    const std::string got = doc.dump(2) + "\n";
+
+    // Golden-regeneration entry point, never read during a normal
+    // test run.  toleo-lint: allow(nondeterminism)
+    if (const char *update = std::getenv("TOLEO_UPDATE_GOLDEN");
+        update && *update) {
+        std::ofstream out(TOLEO_TRIP_GOLDEN,
+                          std::ios::binary | std::ios::trunc);
+        out << got;
+        ASSERT_TRUE(out.good()) << "cannot write " << TOLEO_TRIP_GOLDEN;
+    }
+
+    std::ifstream in(TOLEO_TRIP_GOLDEN, std::ios::binary);
+    ASSERT_TRUE(in.good()) << "missing golden fixture "
+                           << TOLEO_TRIP_GOLDEN
+                           << " (regenerate as described above)";
+    std::ostringstream want;
+    want << in.rdbuf();
+    EXPECT_EQ(got, want.str())
+        << "cache-only Trip analysis drifted from the committed golden "
+        << TOLEO_TRIP_GOLDEN;
+}
+
+#endif // TOLEO_TRIP_GOLDEN

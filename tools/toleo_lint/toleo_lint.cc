@@ -28,9 +28,9 @@
  *   struct-init         scalar members of Config/Options/Stats
  *                       structs must carry in-class initializers
  *   raw-thread          std::thread/std::async/pthread_create outside
- *                       the sanctioned pool implementations
- *                       (sim/intra_pool, sim/sweep.cc); new
- *                       parallelism must preserve deterministic replay
+ *                       the one sanctioned pool (sim/intra_pool);
+ *                       new parallelism must preserve deterministic
+ *                       replay
  *   phase-safety        annotation-driven call-graph analysis: code
  *                       reachable from a // toleo: phase(private)
  *                       root must not write state(shared) data,
@@ -504,18 +504,16 @@ void
 ruleRawThread(const std::vector<SourceFile> &files, Linter &lint)
 {
     // Threading is only compatible with the determinism contract
-    // here because every existing pool preserves the replay
-    // structure: runCellPool (sim/sweep.cc) runs cells that share no
-    // mutable state, and IntraPool (sim/intra_pool) runs per-core
-    // private phases whose work assignment is a pure function of the
-    // index.  A raw std::thread anywhere else has no such argument
-    // attached, so it is banned: route new parallelism through one
-    // of the pools (or extend this sanctioned list with the
-    // accompanying reasoning).
+    // here because the one pool preserves the replay structure:
+    // IntraPool (sim/intra_pool) runs sweep cells, rack nodes' private
+    // halves and per-core private phases, bodies that share no
+    // mutable state, so no work assignment can reach the results.  A
+    // raw std::thread anywhere else has no such argument attached, so
+    // it is banned: route new parallelism through the pool (or
+    // extend this sanctioned list with the accompanying reasoning).
     static const std::vector<std::string> sanctioned = {
         "src/sim/intra_pool.hh",
         "src/sim/intra_pool.cc",
-        "src/sim/sweep.cc",
     };
     // hardware_concurrency() is a capacity query, not a spawn.
     static const std::regex threadRe(
@@ -531,9 +529,8 @@ ruleRawThread(const std::vector<SourceFile> &files, Linter &lint)
                 std::regex_search(sf.code[i], spawnRe))
                 lint.emit(sf, i + 1, "raw-thread",
                           "raw thread spawn outside the sanctioned "
-                          "pools: new parallelism must go through "
-                          "IntraPool (per-core private phases) or "
-                          "runCellPool (independent cells) so the "
+                          "pool: new parallelism must go through "
+                          "IntraPool (sim/intra_pool) so the "
                           "deterministic-replay structure survives");
         }
     }

@@ -50,6 +50,7 @@ struct RunSpec
     SweepOptions sweep;
     std::string format = "json";
     std::string outPath; ///< empty = stdout
+    std::string tracePath; ///< --trace; loaded into sweep.trace
     bool progress = true;
 
     bool rack() const { return sweep.rackNodes > 1; }
@@ -256,7 +257,7 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(arg, "--out")) {
             spec.outPath = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--trace")) {
-            sweep.tracePath = nextArg(argc, argv, i);
+            spec.tracePath = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--record-trace")) {
             sweep.recordTracePath = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--quiet")) {
@@ -317,7 +318,7 @@ parseArgs(int argc, char **argv)
     if (!sweep.recordTracePath.empty()) {
         const char *conflict =
             rack ? "--rack"
-            : !sweep.tracePath.empty() ? "--trace"
+            : !spec.tracePath.empty() ? "--trace"
             : spec.cells.size() != 1
                 ? "more than one cell (pick one workload and one "
                   "engine)"
@@ -465,13 +466,13 @@ main(int argc, char **argv)
             fatal("cannot open trace file '%s' for writing",
                   sweep.recordTracePath.c_str());
     }
-    if (!sweep.tracePath.empty()) {
+    if (!spec.tracePath.empty()) {
         // Open (and fully validate) the trace up front so a bad path
         // or corrupt file fails in milliseconds, not mid-sweep -- and
         // share the one read-only instance across every cell instead
         // of re-decoding the file per cell.
         try {
-            sweep.trace = TraceFile::open(sweep.tracePath);
+            sweep.trace = TraceFile::open(spec.tracePath);
         } catch (const TraceError &e) {
             fatal("%s", e.what());
         }
@@ -485,7 +486,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "trace '%s': workload %s, %u streams, "
                          "%llu records\n",
-                         sweep.tracePath.c_str(),
+                         spec.tracePath.c_str(),
                          sweep.trace->workload().c_str(), nstreams,
                          static_cast<unsigned long long>(records));
         }
