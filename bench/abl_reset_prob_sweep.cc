@@ -40,11 +40,10 @@ main()
         const double p_exhaust = -std::expm1(
             std::pow(2.0, 30) * std::log1p(-p_noreset));
 
+        const auto &eng = dynamic_cast<ToleoEngine &>(sys.engine());
         const double reenc_bpi =
-            static_cast<double>(
-                sys.engine().stats()
-                    .counter("page_reencryptions").value()) *
-            2 * blocksPerPage * blockSize / st.instructions;
+            static_cast<double>(eng.pageReencryptions()) * 2 *
+            blocksPerPage * blockSize / st.instructions;
 
         std::printf("2^-%-7u %10llu %14.6f %18.2e\n", log2p,
                     static_cast<unsigned long long>(st.toleoResets),

@@ -109,17 +109,4 @@ LatencyHistogram::reset()
     sum_ = min_ = max_ = 0.0;
 }
 
-Counter &
-StatGroup::counter(const std::string &name)
-{
-    return counters_[name];
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &[name, c] : counters_)
-        c.reset();
-}
-
 } // namespace toleo

@@ -1,10 +1,8 @@
 /**
  * @file
- * Minimal statistics framework in the spirit of gem5's Stats package.
- *
- * Components register named Counters with a StatGroup and read them
- * back by name; the open-loop serving layer keeps per-request
- * latencies in a LatencyHistogram and reports them as ServingStats.
+ * Open-loop serving statistics: the per-request latency histogram
+ * (LatencyHistogram) and the record a node or rack reports
+ * (ServingStats).
  */
 
 #ifndef TOLEO_COMMON_STATS_HH
@@ -12,23 +10,9 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 
 namespace toleo {
-
-/** Monotonic event counter. */
-class Counter
-{
-  public:
-    Counter &operator++() { ++value_; return *this; }
-    Counter &operator+=(std::uint64_t n) { value_ += n; return *this; }
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /**
  * Fixed-bucket log-scale histogram for per-request latencies in
@@ -134,25 +118,6 @@ struct ServingStats
     double maxLatencyUs = 0.0;
     /** Full latency distribution (ns), mergeable across nodes. */
     LatencyHistogram latency;
-};
-
-/**
- * Named collection of counters.  Components own a StatGroup and
- * register their counters by name.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    Counter &counter(const std::string &name);
-
-    const std::string &name() const { return name_; }
-    void reset();
-
-  private:
-    std::string name_;
-    std::map<std::string, Counter> counters_;
 };
 
 } // namespace toleo

@@ -30,6 +30,10 @@ using Cycles = std::uint64_t;
 /** Simulation time in picoseconds (used by the memory models). */
 using Tick = std::uint64_t;
 
+/** Simulated core clock, GHz (Table 3).  Core time and every
+ *  engine latency given in cycles convert at this one rate. */
+constexpr double coreClockGhz = 2.25;
+
 /** Size of one cache block in bytes. */
 constexpr std::uint64_t blockSize = 64;
 /** log2(blockSize). */

@@ -19,8 +19,6 @@ struct CryptoTiming
     Cycles aesLatency = 40;
     /** MAC computation latency (one extra AES pass over the block). */
     Cycles macLatency = 40;
-    /** Operations accepted per cycle (pipelined). */
-    double throughputPerCycle = 1.0;
 };
 
 } // namespace toleo

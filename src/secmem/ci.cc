@@ -9,11 +9,7 @@ CiEngine::CiEngine(MemTopology &topo, const CiConfig &cfg,
           topo),
       cfg_(cfg),
       macCache_(SetAssocCache::fromCapacity(cfg.macCacheBytes, blockSize,
-                                            cfg.macCacheAssoc)),
-      readsCtr_(stats_.counter("reads")),
-      writebacksCtr_(stats_.counter("writebacks")),
-      macFetchesCtr_(stats_.counter("mac_fetches")),
-      macWritebacksCtr_(stats_.counter("mac_writebacks"))
+                                            cfg.macCacheAssoc))
 {}
 
 double
@@ -34,7 +30,6 @@ CiEngine::macAccess(BlockNum blk, bool is_write, MetaCost &cost)
         const MemTopology::Route route = topo_.routeFor(page);
         topo_.addTraffic(route, blockSize);
         latency += cfg_.macFetchSerialization * topo_.latencyNs(route);
-        ++macFetchesCtr_;
     }
     if (res.writebackTag) {
         // Dirty MAC block evicted: write it back.  Use the victim's
@@ -43,7 +38,6 @@ CiEngine::macAccess(BlockNum blk, bool is_write, MetaCost &cost)
             pageOfBlock(*res.writebackTag * 8);
         cost.metaBytes += blockSize;
         topo_.addDataTraffic(victim_page, blockSize);
-        ++macWritebacksCtr_;
     }
     return latency;
 }
@@ -52,7 +46,6 @@ MetaCost
 CiEngine::onRead(BlockNum blk)
 {
     MetaCost cost;
-    ++readsCtr_;
 
     // Decrypt on the way in; the 40-cycle AES engine is pipelined so
     // only its latency (not throughput) shows on the critical path.
@@ -70,7 +63,6 @@ MetaCost
 CiEngine::onWriteback(BlockNum blk)
 {
     MetaCost cost;
-    ++writebacksCtr_;
 
     // Encryption of an evicted block is off the read critical path.
     if (cfg_.integrity) {

@@ -52,6 +52,9 @@ class CiEngine : public ProtectionEngine
     bool freshness() const override { return false; }
     bool fullMemory() const override { return true; }
 
+    /** Zeroes the MAC cache's counters; its contents stay. */
+    void resetMeasurement() override { macCache_.resetStats(); }
+
     double macCacheHitRate() const { return macCache_.hitRate(); }
     const SetAssocCache &macCache() const { return macCache_; }
 
@@ -59,16 +62,6 @@ class CiEngine : public ProtectionEngine
     CiConfig cfg_;
     /** Keyed by MAC-block number: eight data blocks per MAC block. */
     SetAssocCache macCache_;
-
-    /**
-     * Counters resolved once at construction: a per-event
-     * stats_.counter(name) is a string-keyed map lookup on the
-     * metadata hot path.
-     */
-    Counter &readsCtr_;
-    Counter &writebacksCtr_;
-    Counter &macFetchesCtr_;
-    Counter &macWritebacksCtr_;
 
     /** MAC block holding the MAC of a data block. */
     static std::uint64_t macBlockOf(BlockNum blk) { return blk / 8; }

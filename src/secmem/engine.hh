@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/topology.hh"
 
@@ -33,23 +32,19 @@ struct MetaCost
     double latencyNs = 0.0;
     /** Bytes of metadata moved on conventional memory channels. */
     std::uint64_t metaBytes = 0;
-    /** Bytes moved on the Toleo CXL IDE link. */
-    std::uint64_t toleoBytes = 0;
-    /** Dummy-traffic bytes (InvisiMem constant-rate padding). */
-    std::uint64_t dummyBytes = 0;
 };
 
 class ProtectionEngine
 {
   public:
     explicit ProtectionEngine(std::string name, MemTopology &topo)
-        : name_(std::move(name)), topo_(topo), stats_(name_)
+        : name_(std::move(name)), topo_(topo)
     {}
     virtual ~ProtectionEngine() = default;
 
     /** A block is being fetched from memory into the LLC.
      *  Engines mutate genuinely shared state (topology channels,
-     *  stat counters, version stores), so the request hooks are
+     *  metadata caches, version stores), so the request hooks are
      *  phase(shared): they may only run from the single-threaded
      *  replay, never from a concurrent private-phase body.  The
      *  annotation on the base covers every engine override. */
@@ -69,22 +64,28 @@ class ProtectionEngine
     /** Can it protect the full physical memory space (28 TB)? */
     virtual bool fullMemory() const = 0;
 
+    /**
+     * Open the measurement window: zero every statistic the engine
+     * reports (cache hit counters, traffic and event counts), and
+     * keep its functional and cache state -- cached metadata,
+     * versions and epoch padding state carry over from warmup.  The
+     * shared replay calls it once, at the warmup->measure reset.
+     */
+    // toleo: phase(shared)
+    virtual void resetMeasurement() {}
+
     const std::string &name() const { return name_; }
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
 
   protected:
     std::string name_;
     // toleo: state(shared)
     MemTopology &topo_;
-    // toleo: state(shared)
-    StatGroup stats_;
 
-    /** Core cycles -> ns at the 2.25 GHz simulated clock (Table 3). */
+    /** Core cycles -> ns at the simulated core clock. */
     static double
     cyclesToNs(Cycles c)
     {
-        return static_cast<double>(c) / 2.25;
+        return static_cast<double>(c) / coreClockGhz;
     }
 };
 

@@ -6,17 +6,13 @@ namespace toleo {
 
 InvisiMemEngine::InvisiMemEngine(MemTopology &topo,
                                  const InvisiMemConfig &cfg)
-    : ProtectionEngine("InvisiMem", topo), cfg_(cfg),
-      readsCtr_(stats_.counter("reads")),
-      writebacksCtr_(stats_.counter("writebacks")),
-      dummyBytesCtr_(stats_.counter("dummy_bytes"))
+    : ProtectionEngine("InvisiMem", topo), cfg_(cfg)
 {}
 
 MetaCost
 InvisiMemEngine::onRead(BlockNum blk)
 {
     MetaCost cost;
-    ++readsCtr_;
     const PageNum page = pageOfBlock(blk);
 
     // Request packet padded to write size + double encryption of the
@@ -37,7 +33,6 @@ MetaCost
 InvisiMemEngine::onWriteback(BlockNum blk)
 {
     MetaCost cost;
-    ++writebacksCtr_;
     const PageNum page = pageOfBlock(blk);
 
     // Write acknowledgement padded to read-response size.
@@ -73,7 +68,6 @@ InvisiMemEngine::padEpoch(double epoch_ns)
             topo_.addDataTraffic(static_cast<PageNum>(i) * 977 + 13,
                                  chunk);
         dummyBytes_ += pad;
-        dummyBytesCtr_ += pad;
     }
     return pad;
 }

@@ -52,6 +52,10 @@ class InvisiMemEngine : public ProtectionEngine
     /** All-smart-memory at 28 TB is prohibitively expensive. */
     bool fullMemory() const override { return false; }
 
+    /** Zeroes the dummy-byte count; the epoch's real bytes stay. */
+    void resetMeasurement() override { dummyBytes_ = 0; }
+
+    /** Dummy bytes padded since the last resetMeasurement(). */
     std::uint64_t dummyBytes() const { return dummyBytes_; }
 
   private:
@@ -59,11 +63,6 @@ class InvisiMemEngine : public ProtectionEngine
     /** Real bytes this epoch (tracked for constant-rate padding). */
     std::uint64_t epochRealBytes_ = 0;
     std::uint64_t dummyBytes_ = 0;
-
-    /** Counters resolved once; per-event map lookups are hot. */
-    Counter &readsCtr_;
-    Counter &writebacksCtr_;
-    Counter &dummyBytesCtr_;
 };
 
 } // namespace toleo

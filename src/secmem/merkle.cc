@@ -6,12 +6,7 @@ MerkleTreeEngine::MerkleTreeEngine(MemTopology &topo,
                                    const MerkleConfig &cfg)
     : ProtectionEngine("Merkle", topo), cfg_(cfg),
       cache_(SetAssocCache::fromCapacity(cfg.versionCacheBytes, blockSize,
-                                         cfg.versionCacheAssoc)),
-      readsCtr_(stats_.counter("reads")),
-      writebacksCtr_(stats_.counter("writebacks")),
-      nodeFetchesCtr_(stats_.counter("node_fetches")),
-      nodeWritebacksCtr_(stats_.counter("node_writebacks")),
-      levelsWalkedCtr_(stats_.counter("levels_walked"))
+                                         cfg.versionCacheAssoc))
 {
     std::uint64_t nodes = cfg.protectedBytes / blockSize /
                           cfg.blocksPerLeaf;
@@ -34,13 +29,13 @@ MerkleTreeEngine::walk(BlockNum blk, bool is_write)
     MetaCost cost;
     const PageNum page = pageOfBlock(blk);
     std::uint64_t index = blk / cfg_.blocksPerLeaf;
+    ++walks_;
 
     for (unsigned level = 0; level < numLevels_; ++level) {
         auto res = cache_.access(nodeKey(level, index), is_write);
         if (res.writebackTag) {
             cost.metaBytes += blockSize;
             topo_.addDataTraffic(page, blockSize);
-            ++nodeWritebacksCtr_;
         }
         if (res.hit) {
             // Everything above this node is already verified.
@@ -51,8 +46,6 @@ MerkleTreeEngine::walk(BlockNum blk, bool is_write)
         topo_.addDataTraffic(page, blockSize);
         cost.latencyNs +=
             cfg_.levelSerialization * topo_.dataLatencyNs(page);
-        ++nodeFetchesCtr_;
-        levelsWalkedCtr_ += 1;
         index /= cfg_.arity;
     }
     return cost;
@@ -61,7 +54,6 @@ MerkleTreeEngine::walk(BlockNum blk, bool is_write)
 MetaCost
 MerkleTreeEngine::onRead(BlockNum blk)
 {
-    ++readsCtr_;
     MetaCost cost = walk(blk, false);
     // Decrypt + leaf MAC verify.
     cost.latencyNs += cyclesToNs(cfg_.crypto.aesLatency) +
@@ -72,20 +64,15 @@ MerkleTreeEngine::onRead(BlockNum blk)
 MetaCost
 MerkleTreeEngine::onWriteback(BlockNum blk)
 {
-    ++writebacksCtr_;
     // A write increments the leaf counter and dirties every ancestor
     // (they will be written back on cache eviction).
     return walk(blk, true);
 }
 
 double
-MerkleTreeEngine::avgExtraAccessesPerRead()
+MerkleTreeEngine::avgExtraAccessesPerRead() const
 {
-    const auto reads = stats_.counter("reads").value();
-    const auto writes = stats_.counter("writebacks").value();
-    const auto fetches = stats_.counter("node_fetches").value();
-    const auto total = reads + writes;
-    return total ? static_cast<double>(fetches) / total : 0.0;
+    return walks_ ? static_cast<double>(cache_.misses()) / walks_ : 0.0;
 }
 
 } // namespace toleo

@@ -62,21 +62,26 @@ class MerkleTreeEngine : public ProtectionEngine
         return cfg_.protectedBytes <= 64 * GiB;
     }
 
+    /** Zeroes the node cache's counters and the walk count; cached
+     *  tree nodes stay. */
+    void
+    resetMeasurement() override
+    {
+        cache_.resetStats();
+        walks_ = 0;
+    }
+
     unsigned numLevels() const { return numLevels_; }
-    double versionCacheHitRate() const { return cache_.hitRate(); }
-    double avgExtraAccessesPerRead();
+    /** Tree walks, one per read or writeback. */
+    std::uint64_t walks() const { return walks_; }
+    /** Node fetches (node-cache misses) per walk. */
+    double avgExtraAccessesPerRead() const;
 
   private:
     MerkleConfig cfg_;
     SetAssocCache cache_;
     unsigned numLevels_;
-
-    /** Counters resolved once; the walk touches several per miss. */
-    Counter &readsCtr_;
-    Counter &writebacksCtr_;
-    Counter &nodeFetchesCtr_;
-    Counter &nodeWritebacksCtr_;
-    Counter &levelsWalkedCtr_;
+    std::uint64_t walks_ = 0;
 
     /** Walk leaf->root until a cached level; returns cost. */
     MetaCost walk(BlockNum blk, bool is_write);

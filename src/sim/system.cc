@@ -182,11 +182,10 @@ System::System(const SystemConfig &cfg)
 System::~System() = default;
 
 double
-System::coreTimeNs(unsigned core) const
+System::coreTimeNs(unsigned core, std::uint64_t insts) const
 {
-    const double inst_ns = static_cast<double>(coreInsts_[core]) /
-                           (cfg_.baseIpc * cfg_.clockGhz);
-    return inst_ns + coreStallNs_[core];
+    return static_cast<double>(insts) / (cfg_.baseIpc * coreClockGhz) +
+           coreStallNs_[core];
 }
 
 double
@@ -194,7 +193,7 @@ System::maxCoreTimeNs() const
 {
     double m = 0.0;
     for (unsigned c = 0; c < cfg_.numCores; ++c)
-        m = std::max(m, coreTimeNs(c));
+        m = std::max(m, coreTimeNs(c, coreInsts_[c]));
     return m;
 }
 
@@ -332,9 +331,7 @@ System::completeRequest(unsigned core, std::uint64_t instsAtDone)
     // service-time mark (the request it closes spans the reset, so
     // its duration is not a full request's).
     auto &sv = servCores_[core];
-    const double now = static_cast<double>(instsAtDone) /
-                           (cfg_.baseIpc * cfg_.clockGhz) +
-                       coreStallNs_[core];
+    const double now = coreTimeNs(core, instsAtDone);
     if (!sv.primed) {
         sv.primed = true;
         sv.lastMarkNs = now;
@@ -398,9 +395,7 @@ System::resetMeasurementShared()
         resetServing();
     hierarchy_.resetStatsShared();
     topo_.resetStats();
-    engine_->stats().reset();
-    if (toleoEngine_)
-        toleoEngine_->stealthCache().resetStats();
+    engine_->resetMeasurement();
     readLat_.reset();
     writebacks_ = 0;
     metaBytes_ = 0;
@@ -705,7 +700,7 @@ System::finishRun()
     out.llcWritebacks = writebacks_;
     out.execSeconds = maxCoreTimeNs() * 1e-9;
     out.ipc = static_cast<double>(out.instructions) /
-              (maxCoreTimeNs() * cfg_.clockGhz) / cfg_.numCores;
+              (maxCoreTimeNs() * coreClockGhz) / cfg_.numCores;
     out.llcMpki = 1000.0 * static_cast<double>(out.llcMisses) /
                   static_cast<double>(out.instructions);
 
@@ -983,7 +978,7 @@ printConfig(const SystemConfig &cfg, std::ostream &os)
 {
     const auto &cc = cfg.caches;
     const auto &mm = cfg.mem;
-    os << "Processor        " << cfg.clockGhz << " GHz, "
+    os << "Processor        " << coreClockGhz << " GHz, "
        << cfg.numCores << " cores (base IPC " << cfg.baseIpc << ")\n"
        << "L1-I/D cache     " << cc.l1Bytes / KiB << " KB per core, "
        << cc.l1Assoc << "-way, " << cc.l1Latency << " cycles, LRU\n"

@@ -64,7 +64,6 @@ struct SystemConfig
     std::string workload = "bsw";
     EngineKind engine = EngineKind::Toleo;
     unsigned numCores = 32;
-    double clockGhz = 2.25;
     /** Base retire rate with a perfect memory system (the paper's
      *  data-intensive workloads run near CPI 1 on the 6-wide core). */
     double baseIpc = 1.25;
@@ -164,10 +163,12 @@ struct SimStats
     double dataBpi = 0.0;
     double macBpi = 0.0;
     double stealthBpi = 0.0;
+    /** InvisiMem's dummy padding over the measured references. */
     double dummyBpi = 0.0;
 
-    double macCacheHitRate = 0.0;     ///< Fig 7
-    double stealthCacheHitRate = 0.0; ///< Fig 7
+    /** Fig 7's hit rates, over the measured references. */
+    double macCacheHitRate = 0.0;
+    double stealthCacheHitRate = 0.0;
 
     /**
      * Toleo only: the store's usage over the run's RSS (Figs 10-12,
@@ -555,7 +556,9 @@ class System
     // toleo: phase(private)
     void privateCore(unsigned core, std::uint64_t rounds,
                      bool completions);
-    double coreTimeNs(unsigned core) const;
+    /** Simulated time of @p core once it has retired @p insts
+     *  instructions: base retire time plus the core's stalls. */
+    double coreTimeNs(unsigned core, std::uint64_t insts) const;
     double maxCoreTimeNs() const;
     /** Lindley-recursion completion of one measured request on
      *  @p core. */

@@ -5,13 +5,7 @@
 namespace toleo {
 
 ToleoDevice::ToleoDevice(const ToleoDeviceConfig &cfg)
-    : cfg_(cfg), store_(cfg.trip), stats_("toleo_device"),
-      readReqsCtr_(stats_.counter("read_reqs")),
-      updateReqsCtr_(stats_.counter("update_reqs")),
-      uvUpdatesCtr_(stats_.counter("uv_updates")),
-      upgradesCtr_(stats_.counter("upgrades")),
-      spaceRejectionsCtr_(stats_.counter("space_rejections")),
-      resetReqsCtr_(stats_.counter("reset_reqs"))
+    : cfg_(cfg), store_(cfg.trip)
 {
     if (flatArrayBytes() > cfg.capacityBytes)
         fatal("ToleoDevice: %llu B protected memory needs a flat array "
@@ -56,7 +50,7 @@ ToleoDevice::rangePanic(PageNum page) const
 std::uint64_t
 ToleoDevice::read(BlockNum blk)
 {
-    ++readReqsCtr_;
+    ++readReqs_;
     noteRequest();
     checkInitiatorRange(pageOfBlock(blk));
     return store_.stealth(blk + activeBlockOff_);
@@ -65,24 +59,19 @@ ToleoDevice::read(BlockNum blk)
 TripUpdateResult
 ToleoDevice::update(BlockNum blk)
 {
-    ++updateReqsCtr_;
+    ++updateReqs_;
     noteRequest();
     checkInitiatorRange(pageOfBlock(blk));
     auto res = store_.update(blk + activeBlockOff_);
-    if (res.reset)
-        ++uvUpdatesCtr_;
-    if (res.upgraded) {
-        ++upgradesCtr_;
-        if (spaceExhausted())
-            ++spaceRejectionsCtr_;
-    }
+    if (res.upgraded && spaceExhausted())
+        ++spaceRejections_;
     return res;
 }
 
 void
 ToleoDevice::reset(PageNum page)
 {
-    ++resetReqsCtr_;
+    ++resetReqs_;
     noteRequest();
     checkInitiatorRange(page);
     store_.freePage(page + activePageOff_);

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "toleo/trip.hh"
 
@@ -143,11 +142,14 @@ class ToleoDevice
 
     TripStore &store() { return store_; }
     const TripStore &store() const { return store_; }
-    StatGroup &stats() { return stats_; }
-    std::uint64_t spaceRejections() const
-    {
-        return spaceRejectionsCtr_.value();
-    }
+    /** Requests by type over the device lifetime, all initiators.
+     *  Stealth resets and upgrades are the store's to count
+     *  (TripStore::resets(), upgradesToUneven(), upgradesToFull()). */
+    std::uint64_t readRequests() const { return readReqs_; }
+    std::uint64_t updateRequests() const { return updateReqs_; }
+    std::uint64_t resetRequests() const { return resetReqs_; }
+    /** Upgrades that found the dynamic space exhausted. */
+    std::uint64_t spaceRejections() const { return spaceRejections_; }
     const ToleoDeviceConfig &config() const { return cfg_; }
 
   private:
@@ -155,15 +157,13 @@ class ToleoDevice
     // toleo: state(shared)
     TripStore store_;
     // toleo: state(shared)
-    StatGroup stats_;
-
-    /** Counters resolved once; per-request map lookups are hot. */
-    Counter &readReqsCtr_;
-    Counter &updateReqsCtr_;
-    Counter &uvUpdatesCtr_;
-    Counter &upgradesCtr_;
-    Counter &spaceRejectionsCtr_;
-    Counter &resetReqsCtr_;
+    std::uint64_t readReqs_ = 0;
+    // toleo: state(shared)
+    std::uint64_t updateReqs_ = 0;
+    // toleo: state(shared)
+    std::uint64_t resetReqs_ = 0;
+    // toleo: state(shared)
+    std::uint64_t spaceRejections_ = 0;
 
     struct Initiator
     {

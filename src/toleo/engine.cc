@@ -7,23 +7,24 @@ namespace toleo {
 ToleoEngine::ToleoEngine(MemTopology &topo, ToleoDevice &device,
                          const ToleoEngineConfig &cfg)
     : CiEngine(topo, cfg.ci, "Toleo"), tcfg_(cfg), device_(device),
-      scache_(cfg.stealth),
-      toleoFetchesCtr_(stats_.counter("toleo_fetches")),
-      toleoFetchesReadCtr_(stats_.counter("toleo_fetches_read")),
-      toleoFetchesWbCtr_(stats_.counter("toleo_fetches_wb")),
-      pageReencryptionsCtr_(stats_.counter("page_reencryptions"))
+      scache_(cfg.stealth)
 {}
 
+void
+ToleoEngine::resetMeasurement()
+{
+    CiEngine::resetMeasurement();
+    scache_.resetStats();
+    pageReencryptions_ = 0;
+}
+
 double
-ToleoEngine::fetchFromToleo(BlockNum blk, MetaCost &cost, bool on_read)
+ToleoEngine::fetchFromToleo(BlockNum blk, bool on_read)
 {
     const std::uint64_t bytes =
         on_read ? tcfg_.requestBytes + tcfg_.responseBytes
                 : tcfg_.updateRequestBytes + tcfg_.updateResponseBytes;
-    cost.toleoBytes += bytes;
     topo_.addToleoTraffic(bytes);
-    ++toleoFetchesCtr_;
-    ++(on_read ? toleoFetchesReadCtr_ : toleoFetchesWbCtr_);
     device_.read(blk);
 
     if (!on_read)
@@ -46,11 +47,10 @@ ToleoEngine::onRead(BlockNum blk)
     auto look = scache_.access(blk, fmt, false);
     if (look.writebackBytes) {
         // Dirty version entries flushed back to the device.
-        cost.toleoBytes += look.writebackBytes;
         topo_.addToleoTraffic(look.writebackBytes);
     }
     if (!look.hit)
-        cost.latencyNs += fetchFromToleo(blk, cost, true);
+        cost.latencyNs += fetchFromToleo(blk, true);
     return cost;
 }
 
@@ -65,12 +65,10 @@ ToleoEngine::onWriteback(BlockNum blk)
     auto res = device_.update(blk);
 
     auto look = scache_.access(blk, res.fmtAfter, true);
-    if (look.writebackBytes) {
-        cost.toleoBytes += look.writebackBytes;
+    if (look.writebackBytes)
         topo_.addToleoTraffic(look.writebackBytes);
-    }
     if (!look.hit)
-        fetchFromToleo(blk, cost, false);
+        fetchFromToleo(blk, false);
 
     if (res.upgraded || res.reset) {
         // Format changes drop stale overflow entries.
@@ -86,7 +84,7 @@ ToleoEngine::onWriteback(BlockNum blk)
         const std::uint64_t bytes = 2ULL * blocksPerPage * blockSize;
         cost.metaBytes += bytes;
         topo_.addDataTraffic(page, bytes);
-        ++pageReencryptionsCtr_;
+        ++pageReencryptions_;
     }
     return cost;
 }

@@ -48,9 +48,17 @@ class ToleoEngine : public CiEngine
 
     bool freshness() const override { return true; }
 
+    /** Zeroes the MAC and stealth caches' counters and the
+     *  re-encryption count; cached MACs and versions stay (the
+     *  stealth cache drops only its combine buffer, see
+     *  StealthCache::resetStats). */
+    void resetMeasurement() override;
+
     const StealthCache &stealthCache() const { return scache_; }
-    StealthCache &stealthCache() { return scache_; }
     ToleoDevice &device() { return device_; }
+
+    /** UV_UPDATE page re-encryptions since the last reset. */
+    std::uint64_t pageReencryptions() const { return pageReencryptions_; }
 
     /** On-chip SRAM added over CI (TLB ext + overflow buffer). */
     std::uint64_t addedSramBytes() const { return scache_.sramBytes(); }
@@ -59,15 +67,10 @@ class ToleoEngine : public CiEngine
     ToleoEngineConfig tcfg_;
     ToleoDevice &device_;
     StealthCache scache_;
-
-    /** Counters resolved once; per-event map lookups are hot. */
-    Counter &toleoFetchesCtr_;
-    Counter &toleoFetchesReadCtr_;
-    Counter &toleoFetchesWbCtr_;
-    Counter &pageReencryptionsCtr_;
+    std::uint64_t pageReencryptions_ = 0;
 
     /** Charge one miss-path fetch from the Toleo device. */
-    double fetchFromToleo(BlockNum blk, MetaCost &cost, bool on_read);
+    double fetchFromToleo(BlockNum blk, bool on_read);
 };
 
 } // namespace toleo

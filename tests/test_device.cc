@@ -86,7 +86,7 @@ TEST(Device, ResetRequestDowngradesPage)
     ASSERT_EQ(dev.formatOf(2), TripFormat::Uneven);
     dev.reset(2);
     EXPECT_EQ(dev.formatOf(2), TripFormat::Flat);
-    EXPECT_EQ(dev.stats().counter("reset_reqs").value(), 1u);
+    EXPECT_EQ(dev.resetRequests(), 1u);
 }
 
 TEST(Device, UsageGrowsWithTouchedPagesAndEntries)
@@ -121,9 +121,11 @@ TEST(Device, StatCountersTrackRequests)
     dev.read(blk(1, 0));
     dev.update(blk(1, 0));
     dev.update(blk(1, 0));
-    EXPECT_EQ(dev.stats().counter("read_reqs").value(), 1u);
-    EXPECT_EQ(dev.stats().counter("update_reqs").value(), 2u);
-    EXPECT_EQ(dev.stats().counter("upgrades").value(), 1u);
+    EXPECT_EQ(dev.readRequests(), 1u);
+    EXPECT_EQ(dev.updateRequests(), 2u);
+    EXPECT_EQ(dev.store().upgradesToUneven() +
+                  dev.store().upgradesToFull(),
+              1u);
 }
 
 TEST(DeviceInitiators, AddressSpacesArePartitioned)

@@ -130,7 +130,7 @@ TEST(CiEngine, DirtyMacBlocksWriteBack)
     ci.onWriteback(blk(10, 0)); // dirty MAC block for page 10
     auto cost = ci.onRead(blk(20, 0)); // evicts a dirty victim
     EXPECT_GE(cost.metaBytes, 2 * blockSize); // fetch + writeback
-    EXPECT_GE(ci.stats().counter("mac_writebacks").value(), 1u);
+    EXPECT_GE(ci.macCache().writebacks(), 1u);
 }
 
 TEST(Merkle, LevelCountGrowsWithProtectedMemory)
@@ -207,10 +207,11 @@ TEST(ToleoEngine, StealthMissFetchesFromDevice)
     MemTopology topo({});
     ToleoDevice dev(devConfig());
     ToleoEngine eng(topo, dev, {});
-    auto cost = eng.onRead(blk(1, 0));
-    EXPECT_GT(cost.toleoBytes, 0u); // cold stealth miss
-    auto cost2 = eng.onRead(blk(1, 1));
-    EXPECT_EQ(cost2.toleoBytes, 0u); // flat entry now cached
+    eng.onRead(blk(1, 0));
+    const auto cold = topo.toleoBytes();
+    EXPECT_GT(cold, 0u); // cold stealth miss
+    eng.onRead(blk(1, 1));
+    EXPECT_EQ(topo.toleoBytes(), cold); // flat entry now cached
 }
 
 TEST(ToleoEngine, WritebackUpdatesDeviceVersion)
@@ -221,7 +222,7 @@ TEST(ToleoEngine, WritebackUpdatesDeviceVersion)
     const auto v0 = dev.fullVersion(blk(2, 0));
     eng.onWriteback(blk(2, 0));
     EXPECT_NE(dev.fullVersion(blk(2, 0)), v0);
-    EXPECT_EQ(dev.stats().counter("update_reqs").value(), 1u);
+    EXPECT_EQ(dev.updateRequests(), 1u);
 }
 
 TEST(ToleoEngine, UpgradeInvalidatesCachedEntries)
@@ -233,8 +234,9 @@ TEST(ToleoEngine, UpgradeInvalidatesCachedEntries)
     eng.onWriteback(blk(3, 0)); // upgrade flat -> uneven
     EXPECT_EQ(dev.formatOf(3), TripFormat::Uneven);
     // Next read must miss (stale overflow entry dropped).
-    auto cost = eng.onRead(blk(3, 0));
-    EXPECT_GT(cost.toleoBytes, 0u);
+    const auto before = topo.toleoBytes();
+    eng.onRead(blk(3, 0));
+    EXPECT_GT(topo.toleoBytes(), before);
 }
 
 TEST(ToleoEngine, ResetChargesReencryption)
@@ -246,7 +248,7 @@ TEST(ToleoEngine, ResetChargesReencryption)
     ToleoEngine eng(topo, dev, {});
     auto cost = eng.onWriteback(blk(4, 0));
     EXPECT_GE(cost.metaBytes, 2 * blocksPerPage * blockSize);
-    EXPECT_EQ(eng.stats().counter("page_reencryptions").value(), 1u);
+    EXPECT_EQ(eng.pageReencryptions(), 1u);
 }
 
 TEST(ToleoEngine, AddedSramMatchesPaper)
@@ -255,4 +257,96 @@ TEST(ToleoEngine, AddedSramMatchesPaper)
     ToleoDevice dev(devConfig());
     ToleoEngine eng(topo, dev, {});
     EXPECT_EQ(eng.addedSramBytes(), 31 * KiB); // Section 7.3
+}
+
+// resetMeasurement() opens the measurement window: every statistic an
+// engine reports goes to zero, while what it has cached stays, so a
+// block that hit before the reset still hits after it.
+
+TEST(ResetMeasurement, CiZeroesMacCountersAndKeepsMacBlocks)
+{
+    MemTopology topo({});
+    CiConfig cfg;
+    cfg.macCacheBytes = 2 * blockSize; // 2-entry MAC cache
+    cfg.macCacheAssoc = 2;
+    CiEngine ci(topo, cfg);
+    ci.onWriteback(blk(0, 0));
+    ci.onWriteback(blk(10, 0));
+    ci.onRead(blk(20, 0)); // evicts a dirty MAC block
+    ASSERT_GE(ci.macCache().writebacks(), 1u);
+
+    ci.resetMeasurement();
+    EXPECT_EQ(ci.macCache().accesses(), 0u);
+    EXPECT_EQ(ci.macCache().writebacks(), 0u);
+    EXPECT_DOUBLE_EQ(ci.macCacheHitRate(), 0.0);
+
+    EXPECT_EQ(ci.onRead(blk(20, 1)).metaBytes, 0u);
+    EXPECT_EQ(ci.macCache().hits(), 1u);
+    EXPECT_DOUBLE_EQ(ci.macCacheHitRate(), 1.0);
+}
+
+TEST(ResetMeasurement, ToleoZeroesCacheCountsAndReencryptions)
+{
+    MemTopology topo({});
+    auto dcfg = devConfig();
+    dcfg.trip.resetLog2 = 0; // reset on every leading increment
+    ToleoDevice dev(dcfg);
+    ToleoEngine eng(topo, dev, {});
+    eng.onRead(blk(1, 0));
+    eng.onRead(blk(1, 1));
+    eng.onWriteback(blk(4, 0));
+    ASSERT_GT(eng.macCache().accesses(), 0u);
+    ASSERT_GT(eng.stealthCache().misses(), 0u);
+    ASSERT_EQ(eng.pageReencryptions(), 1u);
+
+    eng.resetMeasurement();
+    EXPECT_EQ(eng.macCache().accesses(), 0u);
+    EXPECT_EQ(eng.stealthCache().hits() + eng.stealthCache().misses(),
+              0u);
+    EXPECT_EQ(eng.pageReencryptions(), 0u);
+    // Device state belongs to the device: the reset leaves it alone.
+    EXPECT_EQ(dev.updateRequests(), 1u);
+
+    const auto link = topo.toleoBytes();
+    EXPECT_EQ(eng.onRead(blk(1, 2)).metaBytes, 0u);
+    EXPECT_EQ(topo.toleoBytes(), link);
+    EXPECT_EQ(eng.macCache().hits(), 1u);
+    EXPECT_EQ(eng.stealthCache().hits(), 1u);
+}
+
+TEST(ResetMeasurement, InvisiMemZeroesDummyBytesAndKeepsEpochBytes)
+{
+    MemTopology topo({});
+    InvisiMemEngine a(topo, {}), b(topo, {});
+    a.padEpoch(1000.0);
+    b.padEpoch(1000.0);
+    ASSERT_GT(a.dummyBytes(), 0u);
+    a.onRead(blk(1, 0));
+    b.onRead(blk(1, 0));
+
+    a.resetMeasurement();
+    EXPECT_EQ(a.dummyBytes(), 0u);
+    // The open epoch's real bytes survive, so both pad alike.
+    const auto pad = a.padEpoch(1000.0);
+    EXPECT_EQ(pad, b.padEpoch(1000.0));
+    EXPECT_EQ(a.dummyBytes(), pad);
+}
+
+TEST(ResetMeasurement, MerkleZeroesWalksAndKeepsTreeNodes)
+{
+    MemTopology topo({});
+    MerkleConfig cfg;
+    cfg.protectedBytes = 28 * TiB;
+    MerkleTreeEngine m(topo, cfg);
+    m.onRead(blk(123456, 0)); // cold: fetches every level
+    EXPECT_EQ(m.walks(), 1u);
+    EXPECT_DOUBLE_EQ(m.avgExtraAccessesPerRead(), m.numLevels());
+
+    m.resetMeasurement();
+    EXPECT_EQ(m.walks(), 0u);
+    EXPECT_DOUBLE_EQ(m.avgExtraAccessesPerRead(), 0.0);
+
+    EXPECT_EQ(m.onRead(blk(123456, 1)).metaBytes, 0u); // leaf cached
+    EXPECT_EQ(m.walks(), 1u);
+    EXPECT_DOUBLE_EQ(m.avgExtraAccessesPerRead(), 0.0);
 }

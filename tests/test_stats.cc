@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the statistics framework.
+ * Unit tests for the serving latency histogram.
  */
 
 #include <gtest/gtest.h>
@@ -11,16 +11,6 @@
 #include "common/stats.hh"
 
 using namespace toleo;
-
-TEST(Counter, IncrementAndAdd)
-{
-    Counter c;
-    ++c;
-    c += 10;
-    EXPECT_EQ(c.value(), 11u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(LatencyHistogram, ExactBelowSubCountAndTracksMinMax)
 {
@@ -170,14 +160,4 @@ TEST(LatencyHistogram, MergingKShardsMatchesConcatenatedSamples)
     e1.merge(e2);
     EXPECT_EQ(e1.count(), 0u);
     EXPECT_DOUBLE_EQ(e1.percentileNs(0.99), 0.0);
-}
-
-TEST(StatGroup, ResetClearsEverything)
-{
-    StatGroup g("grp");
-    g.counter("a") += 5;
-    g.counter("b") += 2;
-    g.reset();
-    EXPECT_EQ(g.counter("a").value(), 0u);
-    EXPECT_EQ(g.counter("b").value(), 0u);
 }

@@ -244,6 +244,46 @@ TEST(System, WarmupIsExcludedFromStats)
     EXPECT_LT(st.instructions, 10000u * 4 * 20);
 }
 
+// The measurement window covers the engines' statistics too: each
+// measured LLC miss or writeback makes exactly one MAC-cache access,
+// on CI and on Toleo (which composes on CI), and warmup makes none
+// that count.
+TEST(MeasurementWindow, MacCacheCountsOnlyMeasuredAccesses)
+{
+    for (const char *wl : {"fmi", "redis", "bsw"}) {
+        for (EngineKind kind : {EngineKind::CI, EngineKind::Toleo}) {
+            System sys(makeScaledConfig(wl, kind, 8));
+            const SimStats st = sys.run(30000, 60000);
+            const auto &ci = dynamic_cast<CiEngine &>(sys.engine());
+            EXPECT_EQ(ci.macCache().accesses(),
+                      st.llcMisses + st.llcWritebacks)
+                << wl << ' ' << engineKindName(kind);
+        }
+    }
+}
+
+// InvisiMem pads a measured epoch at most up to its constant-rate
+// target, so the measured dummy bytes stay within that rate over the
+// measured time, however long the warmup before it.
+TEST(MeasurementWindow, InvisiMemDummyBytesStayWithinTargetRate)
+{
+    for (const char *wl : {"fmi", "redis", "bsw"}) {
+        const SystemConfig cfg =
+            makeScaledConfig(wl, EngineKind::InvisiMem, 8);
+        System sys(cfg);
+        const SimStats st = sys.run(300000, 30000);
+        const double agg_gbps =
+            cfg.mem.ddrChannels * cfg.mem.ddrBandwidthGBps +
+            cfg.mem.cxlPoolBandwidthGBps;
+        const double target_bytes = cfg.invisimem.dummyRateFraction *
+                                    agg_gbps * st.execSeconds * 1e9;
+        EXPECT_GT(st.dummyBpi, 0.0) << wl;
+        EXPECT_LE(st.dummyBpi * static_cast<double>(st.instructions),
+                  target_bytes)
+            << wl;
+    }
+}
+
 TEST(System, ConfigPrinterMentionsKeyParts)
 {
     std::ostringstream os;
