@@ -2,17 +2,28 @@
 
 namespace toleo {
 
+PrivateCaches::PrivateCaches(const CacheHierarchyConfig &cfg)
+    : l1_(SetAssocCache::fromCapacity(cfg.l1Bytes, blockSize,
+                                      cfg.l1Assoc)),
+      l2_(SetAssocCache::fromCapacity(cfg.l2Bytes, blockSize,
+                                      cfg.l2Assoc))
+{
+}
+
+void
+PrivateCaches::resetStats()
+{
+    l1_.resetStats();
+    l2_.resetStats();
+}
+
 CacheHierarchy::CacheHierarchy(const CacheHierarchyConfig &cfg)
     : cfg_(cfg)
 {
     if (cfg.numCores == 0)
         panic("CacheHierarchy: zero cores");
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        l1_.push_back(SetAssocCache::fromCapacity(cfg.l1Bytes, blockSize,
-                                                  cfg.l1Assoc));
-        l2_.push_back(SetAssocCache::fromCapacity(cfg.l2Bytes, blockSize,
-                                                  cfg.l2Assoc));
-    }
+    for (unsigned c = 0; c < cfg.numCores; ++c)
+        private_.emplace_back(cfg);
     const unsigned slices =
         (cfg.numCores + cfg.coresPerL3Slice - 1) / cfg.coresPerL3Slice;
     for (unsigned s = 0; s < slices; ++s)
@@ -101,21 +112,13 @@ CacheHierarchy::llcWritebacks() const
 void
 CacheHierarchy::resetStats()
 {
-    resetStatsPrivate();
-    resetStatsShared();
+    for (auto &p : private_)
+        p.resetStats();
+    resetLlcStats();
 }
 
 void
-CacheHierarchy::resetStatsPrivate()
-{
-    for (auto &c : l1_)
-        c.resetStats();
-    for (auto &c : l2_)
-        c.resetStats();
-}
-
-void
-CacheHierarchy::resetStatsShared()
+CacheHierarchy::resetLlcStats()
 {
     for (auto &c : l3_)
         c.resetStats();

@@ -107,6 +107,71 @@ struct PrivateAccessResult
     bool needsShared() const { return numSpills > 0 || l2Miss; }
 };
 
+/**
+ * One core's private levels: its L1-D and L2.  Every operation
+ * touches only this core's two caches, so different cores'
+ * instances may be driven from different threads.
+ */
+class PrivateCaches
+{
+  public:
+    explicit PrivateCaches(const CacheHierarchyConfig &cfg);
+
+    /**
+     * L1 access, dirty-victim merge into L2, and the L2 access on an
+     * L1 miss.  Victims that miss L2 and the L3 access an L2 miss
+     * needs are left to CacheHierarchy::accessShared().
+     */
+    PrivateAccessResult
+    access(BlockNum blk, bool is_write)
+    {
+        PrivateAccessResult out;
+
+        auto r1 = l1_.access(blk, is_write);
+        if (r1.hit) {
+            out.l1Hit = true;
+            return out;
+        }
+        // A dirty L1 victim merges into L2 if resident there,
+        // otherwise (non-inclusive hierarchy) it heads for L3 or
+        // memory -- shared state, deferred to accessShared().
+        if (r1.writebackTag) {
+            if (!l2_.markDirtyIfPresent(*r1.writebackTag))
+                out.spills[out.numSpills++] = *r1.writebackTag;
+        }
+
+        // Lower levels fill *clean*: the dirty bit lives in L1 and
+        // travels down on eviction, so each store produces exactly
+        // one eventual memory writeback.
+        auto r2 = l2_.access(blk, false);
+        if (r2.hit)
+            return out;
+        if (r2.writebackTag)
+            out.spills[out.numSpills++] = *r2.writebackTag;
+        out.l2Miss = true;
+        return out;
+    }
+
+    /**
+     * Prefetch hint for an upcoming access(blk, ...): pulls the L1
+     * and L2 set blocks for @p blk toward the calling thread's
+     * caches.  No architectural state changes, so a batching driver
+     * can issue it a few references ahead.
+     */
+    void
+    prefetch(BlockNum blk) const
+    {
+        l1_.prefetchSet(blk);
+        l2_.prefetchSet(blk);
+    }
+
+    void resetStats();
+
+  private:
+    SetAssocCache l1_;
+    SetAssocCache l2_;
+};
+
 class CacheHierarchy
 {
   public:
@@ -122,39 +187,11 @@ class CacheHierarchy
      */
     HierarchyResult access(unsigned core, BlockNum blk, bool is_write);
 
-    /**
-     * Private half: L1 access, dirty-victim merge into L2, and the
-     * L2 access on an L1 miss.  Touches only this core's caches.
-     */
-    // toleo: phase(private)
+    /** Private half: @p core's L1 and L2 (PrivateCaches::access). */
     PrivateAccessResult
     accessPrivate(unsigned core, BlockNum blk, bool is_write)
     {
-        PrivateAccessResult out;
-
-        auto r1 = l1_[core].access(blk, is_write);
-        if (r1.hit) {
-            out.l1Hit = true;
-            return out;
-        }
-        // A dirty L1 victim merges into L2 if resident there,
-        // otherwise (non-inclusive hierarchy) it heads for L3 or
-        // memory -- shared state, deferred to accessShared().
-        if (r1.writebackTag) {
-            if (!l2_[core].markDirtyIfPresent(*r1.writebackTag))
-                out.spills[out.numSpills++] = *r1.writebackTag;
-        }
-
-        // Lower levels fill *clean*: the dirty bit lives in L1 and
-        // travels down on eviction, so each store produces exactly
-        // one eventual memory writeback.
-        auto r2 = l2_[core].access(blk, false);
-        if (r2.hit)
-            return out;
-        if (r2.writebackTag)
-            out.spills[out.numSpills++] = *r2.writebackTag;
-        out.l2Miss = true;
-        return out;
+        return private_[core].access(blk, is_write);
     }
 
     /**
@@ -162,7 +199,6 @@ class CacheHierarchy
      * for an L2 miss.  Must run in global reference order; fills
      * res.memWritebacks / res.llcMiss exactly as access() does.
      */
-    // toleo: phase(shared)
     void
     accessShared(unsigned core, BlockNum blk,
                  const PrivateAccessResult &priv, HierarchyResult &res)
@@ -182,19 +218,9 @@ class CacheHierarchy
             res.memWritebacks.push_back(*r3.writebackTag);
     }
 
-    /**
-     * Prefetch hint for an upcoming accessPrivate(core, blk, ...):
-     * pulls the L1 and L2 set blocks for @p blk toward the issuing
-     * thread's caches.  No architectural state changes, so the
-     * batching driver can issue it a few references ahead.
-     */
-    // toleo: phase(private)
-    void
-    prefetchPrivate(unsigned core, BlockNum blk) const
-    {
-        l1_[core].prefetchSet(blk);
-        l2_[core].prefetchSet(blk);
-    }
+    /** @p core's private levels, for a driver that batches them
+     *  apart from the shared L3 (sim/front_end.hh). */
+    PrivateCaches &privateCaches(unsigned core) { return private_[core]; }
 
     std::uint64_t llcHits() const;
     std::uint64_t llcMisses() const;
@@ -203,29 +229,17 @@ class CacheHierarchy
     std::uint64_t llcWritebacks() const;
 
     const CacheHierarchyConfig &config() const { return cfg_; }
+    /** Zero every level's counters. */
     void resetStats();
-    /**
-     * Counter-reset split matching the access split above, for
-     * drivers whose private work may run a whole epoch ahead of the
-     * shared replay (System::runItemPrivate / runItemShared): the
-     * per-core L1/L2 counters reset in the private sub-phase, the
-     * shared L3 slices in the replay, so each side only ever touches
-     * its own tier.
-     */
-    // toleo: phase(private)
-    void resetStatsPrivate();
-    // toleo: phase(shared)
-    void resetStatsShared();
+    /** Zero the L3 slices' counters only: a driver that resets each
+     *  core's PrivateCaches itself resets the shared level here. */
+    void resetLlcStats();
 
   private:
     CacheHierarchyConfig cfg_;
-    // toleo: state(per-core)
-    std::vector<SetAssocCache> l1_;
-    // toleo: state(per-core)
-    std::vector<SetAssocCache> l2_;
+    std::vector<PrivateCaches> private_;
     /** L3 slices are shared across the cores of a slice: only the
      *  global-order shared replay may touch them. */
-    // toleo: state(shared)
     std::vector<SetAssocCache> l3_;
     /** Per-core slice index: avoids a runtime division per lookup. */
     std::vector<unsigned> l3SliceOf_;

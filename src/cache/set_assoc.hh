@@ -82,13 +82,9 @@ class SetAssocCache
      * @param is_write Marks the line dirty on hit or fill.
      *
      * The probe paths (access/touch/markDirtyIfPresent/prefetchSet)
-     * are annotated phase(private): L1/L2 instances are probed from
-     * the concurrent private phase, so everything they reach must be
-     * instance-local.  Shared-phase use of the same methods on L3 /
-     * MAC / stealth instances is always legal (shared code may call
-     * private-safe code; only the converse is a violation).
+     * touch only this instance, so different cores' L1/L2 instances
+     * may be probed concurrently from the private phase.
      */
-    // toleo: phase(private)
     CacheAccessResult
     access(std::uint64_t key, bool is_write)
     {
@@ -118,7 +114,6 @@ class SetAssocCache
      * must not displace the demand working set (e.g. version updates
      * for long-cold pages).
      */
-    // toleo: phase(private)
     bool
     touch(std::uint64_t key, bool mark_dirty)
     {
@@ -144,7 +139,6 @@ class SetAssocCache
      * One set scan where contains() + markDirty() would take two.
      * Like contains(), does not touch LRU state or statistics.
      */
-    // toleo: phase(private)
     bool
     markDirtyIfPresent(std::uint64_t key)
     {
@@ -230,7 +224,6 @@ class SetAssocCache
      * Pure performance hint: no architectural state changes, so the
      * batching driver can issue these ahead of the access loop.
      */
-    // toleo: phase(private)
     void
     prefetchSet(std::uint64_t key) const
     {

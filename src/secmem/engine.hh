@@ -44,15 +44,11 @@ class ProtectionEngine
 
     /** A block is being fetched from memory into the LLC.
      *  Engines mutate genuinely shared state (topology channels,
-     *  metadata caches, version stores), so the request hooks are
-     *  phase(shared): they may only run from the single-threaded
-     *  replay, never from a concurrent private-phase body.  The
-     *  annotation on the base covers every engine override. */
-    // toleo: phase(shared)
+     *  metadata caches, version stores), so only the
+     *  single-threaded shared replay calls the request hooks. */
     virtual MetaCost onRead(BlockNum blk) = 0;
 
     /** A dirty block is being written back from the LLC to memory. */
-    // toleo: phase(shared)
     virtual MetaCost onWriteback(BlockNum blk) = 0;
 
     /** Does this engine guarantee confidentiality? */
@@ -71,14 +67,12 @@ class ProtectionEngine
      * versions and epoch padding state carry over from warmup.  The
      * shared replay calls it once, at the warmup->measure reset.
      */
-    // toleo: phase(shared)
     virtual void resetMeasurement() {}
 
     const std::string &name() const { return name_; }
 
   protected:
     std::string name_;
-    // toleo: state(shared)
     MemTopology &topo_;
 
     /** Core cycles -> ns at the simulated core clock. */

@@ -3,11 +3,11 @@
  * The simulator's one worker pool.
  *
  * Three tiers run on it, each with bodies over disjoint state: each
- * System's per-core private phase (System::stageRounds: one core's
- * generator draws and L1/L2), rack nodes' private epoch halves
- * (sim/rack.cc), and sweep cells (sim/sweep.cc).  The shared work
- * (L3, topology, engine, device) still replays the exact global
- * order single-threaded afterwards.  This pool is the sanctioned
+ * FrontEnd's per-core private phase (CoreFront::stage: one core's
+ * generator draws and L1/L2, sim/front_end.hh), rack nodes' private
+ * epoch halves (sim/rack.cc), and sweep cells (sim/sweep.cc).  The
+ * shared work (L3, topology, engine, device) still replays the exact
+ * global order single-threaded afterwards.  This pool is the sanctioned
  * home for threads (tools/toleo_lint bans raw std::thread elsewhere
  * -- new parallelism must go through a pool that preserves the
  * deterministic-replay structure).

@@ -117,11 +117,11 @@ runRack(const RackConfig &cfg)
         // Step every live node one traffic epoch, strictly in node
         // order: the shared store (and its reset RNG) sees one
         // deterministic global operation sequence.  With a rack pool,
-        // the node-private halves (lint-proven free of shared-device
-        // access) run concurrently first; the device/arbiter-visible
-        // replay below still runs serially in node order either way,
-        // so the device observes the identical operation sequence for
-        // any rackThreads value.
+        // the node-private halves run concurrently first; each is its
+        // node's FrontEnd, which cannot reach the device.  The
+        // device/arbiter-visible replay below still runs serially in
+        // node order either way, so the device observes the identical
+        // operation sequence for any rackThreads value.
         device.beginInitiatorEpoch();
         if (rackPool) {
             rackPool->run(n, [&](unsigned i) {

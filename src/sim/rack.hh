@@ -67,11 +67,12 @@ struct RackConfig
     /**
      * Worker threads for the node-private half of each rack epoch
      * (`--rack-threads`).  Each epoch splits per node into a private
-     * sub-phase (generator draws, L1/L2, staging -- no shared-device
-     * access; System::stepEpochPrivate) that the pool runs for all
-     * live nodes concurrently, and a shared sub-phase (device/arbiter
-     * replay; System::replayEpochShared) that always runs serially in
-     * strict node order.  1 (the default) calls stepEpoch() per node
+     * sub-phase (generator draws, L1/L2, staging: the node's
+     * FrontEnd, which holds no handle to the device;
+     * System::stepEpochPrivate) that the pool runs for all live nodes
+     * concurrently, and a shared sub-phase (device/arbiter replay;
+     * System::replayEpochShared) that always runs serially in strict
+     * node order.  1 (the default) calls stepEpoch() per node
      * instead, which runs the same halves item by item and so stages
      * one batch, not a whole epoch; any value yields bit-identical
      * rackStatsToJson output.  Clamped to the node count.

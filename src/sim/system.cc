@@ -1,7 +1,6 @@
 #include "sim/system.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <ostream>
 #include <sstream>
@@ -9,27 +8,73 @@
 
 #include "common/logging.hh"
 #include "secmem/noprotect.hh"
-#include "sim/intra_pool.hh"
 #include "workload/trace_file.hh"
 
 namespace toleo {
 
 namespace {
 
-/**
- * Host wall clock for the phase breakdown (PhaseTimes).  Gated so the
- * default path performs no clock calls; the value never feeds
- * simulated state, only perfbench's traced run.
- */
-double
-benchNowNs(bool enabled)
+/** @p cfg, once every setting a System cannot run with is rejected:
+ *  trace defects throw TraceError (see trace_file.hh), the rest
+ *  std::invalid_argument, so library callers can catch either. */
+const SystemConfig &
+checked(const SystemConfig &cfg)
 {
-    if (!enabled)
-        return 0.0;
-    return std::chrono::duration<double, std::nano>(
-               // toleo-lint: allow(nondeterminism)
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
+    if (cfg.trace && !cfg.recordTracePath.empty())
+        throw TraceError(
+            "a System cannot replay and record a trace at once");
+    if (cfg.timelinePoints == 0)
+        throw std::invalid_argument(
+            "System: timelinePoints must be >= 1");
+    if (cfg.arrival.open()) {
+        if (!std::isfinite(cfg.arrival.ratePerSec) ||
+            cfg.arrival.ratePerSec <= 0.0)
+            throw std::invalid_argument(
+                "System: open-loop arrival needs a positive finite "
+                "ratePerSec");
+        if (!std::isfinite(cfg.arrival.sloUs) || cfg.arrival.sloUs <= 0.0)
+            throw std::invalid_argument(
+                "System: open-loop arrival needs a positive finite "
+                "sloUs");
+        if (cfg.arrival.requestRefs == 0)
+            throw std::invalid_argument(
+                "System: arrival.requestRefs must be >= 1");
+    }
+    return cfg;
+}
+
+/**
+ * Every core's private phase: its generator and its L1/L2.  These
+ * are all a front end is handed, so this is where to check that a
+ * generator stores no pointer to shared state.
+ */
+std::vector<CoreFront>
+coreFronts(const SystemConfig &cfg, const WorkloadInfo &winfo,
+           CacheHierarchy &caches, TraceWriter *writer)
+{
+    std::vector<CoreFront> cores;
+    cores.reserve(cfg.numCores);
+    for (unsigned c = 0; c < cfg.numCores; ++c) {
+        std::unique_ptr<TraceGen> gen =
+            cfg.trace
+                ? std::make_unique<TraceReplayGen>(winfo, cfg.trace, c)
+                : makeWorkload(cfg.workload, c, cfg.seed);
+        // Open-loop serving overlay: the RequestSource wrapper makes
+        // the stream carry request ends.  It forwards draws unchanged
+        // and the arrival process never feeds back into simulated
+        // state, so every non-serving statistic is bit-identical to
+        // the closed-loop run of the same config.
+        if (cfg.arrival.open())
+            gen = std::make_unique<RequestSource>(
+                std::move(gen), cfg.arrival.requestRefs);
+        // Capture outermost, so the trace holds the raw draws under
+        // any arrival model.
+        if (writer)
+            gen = std::make_unique<RecordingTraceGen>(std::move(gen),
+                                                      writer->stream(c));
+        cores.emplace_back(std::move(gen), caches.privateCaches(c));
+    }
+    return cores;
 }
 
 } // namespace
@@ -49,13 +94,22 @@ engineKindName(EngineKind kind)
 }
 
 System::System(const SystemConfig &cfg)
-    : cfg_(cfg), topo_(cfg.mem),
+    : cfg_(checked(cfg)), topo_(cfg.mem),
       hierarchy_([&] {
           CacheHierarchyConfig c = cfg.caches;
           c.numCores = cfg.numCores;
           return c;
       }()),
-      winfo_(workloadInfo(cfg.workload))
+      winfo_(workloadInfo(cfg.workload)),
+      traceWriter_(cfg.recordTracePath.empty()
+                       ? nullptr
+                       : std::make_unique<TraceWriter>(
+                             cfg.numCores, cfg.workload, cfg.seed)),
+      front_(coreFronts(cfg, winfo_, hierarchy_, traceWriter_.get()),
+             // Only a Toleo run has a device for Fig 12 to sample.
+             {cfg.epochRefs, cfg.timelinePoints,
+              cfg.engine == EngineKind::Toleo, cfg.arrival.open(),
+              cfg.intraThreads, cfg.phaseTimers})
 {
     switch (cfg.engine) {
       case EngineKind::NoProtect:
@@ -98,85 +152,26 @@ System::System(const SystemConfig &cfg)
         break;
     }
 
-    // TraceError, not fatal(): every trace defect throws (see
-    // trace_file.hh) so library callers can catch it.
-    if (cfg.trace && !cfg.recordTracePath.empty())
-        throw TraceError(
-            "a System cannot replay and record a trace at once");
-    if (cfg.trace) {
-        if (cfg.trace->workload() != cfg.workload)
-            warn("the trace was captured from workload '%s' but is "
-                 "replayed under '%s' metadata",
-                 cfg.trace->workload().c_str(), cfg.workload.c_str());
-        for (unsigned c = 0; c < cfg.numCores; ++c)
-            gens_.push_back(
-                std::make_unique<TraceReplayGen>(winfo_, cfg.trace, c));
-    } else {
-        for (unsigned c = 0; c < cfg.numCores; ++c)
-            gens_.push_back(makeWorkload(cfg.workload, c, cfg.seed));
-    }
+    if (cfg.trace && cfg.trace->workload() != cfg.workload)
+        warn("the trace was captured from workload '%s' but is "
+             "replayed under '%s' metadata",
+             cfg.trace->workload().c_str(), cfg.workload.c_str());
 
-    // Open-loop serving overlay: wrap every generator in a
-    // RequestSource so the stream carries request ends.  The wrapper
-    // forwards draws unchanged and the arrival process never feeds
-    // back into simulated state, so every non-serving statistic is
-    // bit-identical to the closed-loop run of the same config.
     serving_ = cfg.arrival.open();
     if (serving_) {
-        if (!std::isfinite(cfg.arrival.ratePerSec) ||
-            cfg.arrival.ratePerSec <= 0.0)
-            throw std::invalid_argument(
-                "System: open-loop arrival needs a positive finite "
-                "ratePerSec");
-        if (!std::isfinite(cfg.arrival.sloUs) ||
-            cfg.arrival.sloUs <= 0.0)
-            throw std::invalid_argument(
-                "System: open-loop arrival needs a positive finite "
-                "sloUs");
-        if (cfg.arrival.requestRefs == 0)
-            throw std::invalid_argument(
-                "System: arrival.requestRefs must be >= 1");
         sloNs_ = cfg.arrival.sloUs * 1000.0;
         perCoreRate_ = cfg.arrival.ratePerSec / cfg.numCores;
         servCores_.resize(cfg.numCores);
-        for (unsigned c = 0; c < cfg.numCores; ++c) {
-            gens_[c] = std::make_unique<RequestSource>(
-                std::move(gens_[c]), cfg.arrival.requestRefs);
-            // Dedicated stream, decorrelated from the workload draws:
-            // the arrival process must not mirror or perturb them.
+        // Dedicated streams, decorrelated from the workload draws:
+        // the arrival process must not mirror or perturb them.
+        for (unsigned c = 0; c < cfg.numCores; ++c)
             servCores_[c].rng =
                 Rng(cfg.seed ^ 0x517cc1b727220a95ULL ^
                     (static_cast<std::uint64_t>(c) *
                      0x9e3779b97f4a7c15ULL));
-        }
     }
 
-    // Capture outermost, so the trace holds the raw draws under any
-    // arrival model.
-    if (!cfg.recordTracePath.empty()) {
-        traceWriter_ = std::make_unique<TraceWriter>(
-            cfg.numCores, cfg.workload, cfg.seed);
-        for (unsigned c = 0; c < cfg.numCores; ++c)
-            gens_[c] = std::make_unique<RecordingTraceGen>(
-                std::move(gens_[c]), *traceWriter_, c);
-    }
-
-    coreInsts_.assign(cfg.numCores, 0);
     coreStallNs_.assign(cfg.numCores, 0.0);
-    refBuf_.resize(static_cast<std::size_t>(cfg.numCores) *
-                   batchRounds);
-    evBuf_.resize(refBuf_.size());
-    evCount_.assign(cfg.numCores, 0);
-    evPos_.assign(cfg.numCores, 0);
-
-    // Private-phase worker pool.  More threads than cores can never
-    // help (the unit of work is one core's batch), and intraThreads
-    // == 1 keeps the single-threaded path with no pool and no
-    // synchronization at all.
-    const unsigned intra =
-        std::min(std::max(cfg.intraThreads, 1u), cfg.numCores);
-    if (intra > 1)
-        intraPool_ = std::make_unique<IntraPool>(intra);
 }
 
 System::~System() = default;
@@ -193,7 +188,7 @@ System::maxCoreTimeNs() const
 {
     double m = 0.0;
     for (unsigned c = 0; c < cfg_.numCores; ++c)
-        m = std::max(m, coreTimeNs(c, coreInsts_[c]));
+        m = std::max(m, coreTimeNs(c, front_.coreInsts(c)));
     return m;
 }
 
@@ -239,94 +234,9 @@ System::stepShared(unsigned core, Addr addr,
 }
 
 void
-System::privateCore(unsigned core, std::uint64_t rounds,
-                    bool completions)
-{
-    // Pull the probed L1/L2 set blocks a few references ahead of the
-    // access loop; the draws below give the addresses up front.
-    constexpr std::uint64_t prefetchDist = 8;
-
-    MemRef *refs = &refBuf_[core * batchRounds];
-    SharedEvent *evs = &evBuf_[core * batchRounds];
-    gens_[core]->nextBatch(refs, rounds);
-    std::uint32_t nev = 0;
-    std::uint64_t insts = coreInsts_[core];
-    for (std::uint64_t k = 0; k < rounds; ++k) {
-        const MemRef &ref = refs[k];
-        insts += ref.instGap + 1;
-        if (k + prefetchDist < rounds) {
-            hierarchy_.prefetchPrivate(
-                core, blockOf(refs[k + prefetchDist].addr));
-        }
-        const PrivateAccessResult priv = hierarchy_.accessPrivate(
-            core, blockOf(ref.addr), ref.isWrite);
-        // A request ends after its last reference retires.
-        const std::uint64_t done =
-            completions && ref.endsRequest ? insts : 0;
-        if (priv.needsShared() || done) {
-            evs[nev].round = static_cast<std::uint32_t>(k);
-            evs[nev].priv = priv;
-            evs[nev].doneInsts = done;
-            ++nev;
-        }
-    }
-    evCount_[core] = nev;
-    evPos_[core] = 0;
-    coreInsts_[core] = insts;
-}
-
-void
-System::stageRounds(std::uint64_t rounds, bool measuring)
-{
-    const unsigned cores = cfg_.numCores;
-    const double t0 = benchNowNs(cfg_.phaseTimers);
-
-    // Private phase: generator draws and each core's own L1/L2.
-    // Per-generator draw order and per-cache operation sequences
-    // are exactly those of a one-reference-at-a-time loop; the
-    // cores' structures are mutually disjoint, so running them
-    // concurrently (static striping, pure function of core id and
-    // thread count) cannot reorder anything observable.  Warmup
-    // completions are not staged: warmup requests are ignored.
-    const bool completions = serving_ && measuring;
-    if (intraPool_) {
-        intraPool_->run(cores, [this, rounds, completions](unsigned c) {
-            privateCore(c, rounds, completions);
-        });
-    } else {
-        for (unsigned c = 0; c < cores; ++c)
-            privateCore(c, rounds, completions);
-    }
-
-    // Merge the per-core queues into the staged log in round-robin
-    // global order: every round's shared work (L3 slices, memory
-    // topology, protection engine) and request completions in core
-    // order, so the replay feeds each shared structure the exact
-    // operation sequence of the one-reference-at-a-time loop.  Each
-    // core's queue is already round-ordered, so this is an n-way
-    // merge on the round index.
-    for (std::uint64_t k = 0; k < rounds; ++k) {
-        for (unsigned c = 0; c < cores; ++c) {
-            const std::uint32_t pos = evPos_[c];
-            if (pos == evCount_[c])
-                continue;
-            const SharedEvent &ev = evBuf_[c * batchRounds + pos];
-            if (ev.round != k)
-                continue;
-            evPos_[c] = pos + 1;
-            staged_.push_back({c, refBuf_[c * batchRounds + k].addr,
-                               ev.priv, ev.doneInsts});
-        }
-    }
-
-    if (cfg_.phaseTimers)
-        phases_.privateNs += benchNowNs(true) - t0;
-}
-
-void
 System::completeRequest(unsigned core, std::uint64_t instsAtDone)
 {
-    // Only measured request ends reach here (stageRounds stages none
+    // Only measured request ends reach here (the front end stages none
     // during warmup); the first after the stats reset only primes the
     // service-time mark (the request it closes spans the reset, so
     // its duration is not a full request's).
@@ -375,17 +285,6 @@ System::resetServing()
 }
 
 void
-System::resetMeasurementPrivate()
-{
-    // Per-core half only: the instruction clocks feed the private
-    // phase's completion staging, so they must be zeroed at the
-    // reset's position in the *private* pass.  Everything the shared
-    // replay owns resets in resetMeasurementShared().
-    hierarchy_.resetStatsPrivate();
-    std::fill(coreInsts_.begin(), coreInsts_.end(), 0);
-}
-
-void
 System::resetMeasurementShared()
 {
     // The serving overlay resets here as a whole: its per-core
@@ -393,7 +292,7 @@ System::resetMeasurementShared()
     // completeRequest, i.e. by the shared replay.
     if (serving_)
         resetServing();
-    hierarchy_.resetStatsShared();
+    hierarchy_.resetLlcStats();
     topo_.resetStats();
     engine_->resetMeasurement();
     readLat_.reset();
@@ -407,7 +306,7 @@ System::resetMeasurementShared()
 void
 System::epochBoundary()
 {
-    const double t0 = benchNowNs(cfg_.phaseTimers);
+    const double t0 = phaseClockNs(cfg_.phaseTimers);
     double delta = maxCoreTimeNs() - runLastEpochNs_;
     if (delta <= 0.0)
         delta = 1.0;
@@ -434,117 +333,20 @@ System::epochBoundary()
     ++epochsCompleted_;
     runLastEpochNs_ = maxCoreTimeNs();
     if (cfg_.phaseTimers)
-        phases_.epochNs += benchNowNs(true) - t0;
-}
-
-// Rounds (one reference per core) until the next epoch boundary
-// fires.  Every round adds numCores references, so a per-round epoch
-// check reduces to a ceiling division, letting stageRounds() run a
-// check-free inner loop.
-std::uint64_t
-System::roundsToEpoch() const
-{
-    const std::uint64_t since = runGlobalRefs_ - runEpochMark_;
-    const std::uint64_t remaining =
-        cfg_.epochRefs > since ? cfg_.epochRefs - since : 0;
-    return remaining == 0
-               ? 1
-               : (remaining + cfg_.numCores - 1) / cfg_.numCores;
+        phases_.epochNs += phaseClockNs(true) - t0;
 }
 
 void
 System::beginRun(std::uint64_t warmup_refs, std::uint64_t measure_refs)
 {
-    runWarmupRefs_ = warmup_refs;
-    runMeasureRefs_ = measure_refs;
-    runGlobalRefs_ = 0;
-    runEpochMark_ = 0;
+    front_.beginRun(warmup_refs, measure_refs);
     runLastEpochNs_ = 0.0;
-    runPhaseRefs_ = 0;
-    runSampleEvery_ = std::max<std::uint64_t>(
-        1, measure_refs / cfg_.timelinePoints);
-    runMeasuring_ = false;
-    runActive_ = true;
-    plan_.clear();
-    pendingReplay_ = false;
     runStats_ = SimStats{};
     if (serving_)
         resetServing();
     epochToleoBytes_ = 0;
     epochWallNs_ = 0.0;
     epochsCompleted_ = 0;
-}
-
-bool
-System::planEpoch()
-{
-    plan_.clear();
-
-    // Warmup: fill caches and version state, then reset stats.  The
-    // phase transition is not an epoch boundary; when warmup ends
-    // mid-epoch, measurement continues the same epoch.
-    while (!runMeasuring_) {
-        if (runPhaseRefs_ >= runWarmupRefs_) {
-            plan_.push_back({EpochPlanItem::Kind::Reset, false, 0});
-            runMeasuring_ = true;
-            runPhaseRefs_ = 0;
-            break;
-        }
-        const std::uint64_t chunk = std::min(
-            {runWarmupRefs_ - runPhaseRefs_, roundsToEpoch(),
-             batchRounds});
-        plan_.push_back({EpochPlanItem::Kind::Run, false, chunk});
-        runGlobalRefs_ += chunk * cfg_.numCores;
-        runPhaseRefs_ += chunk;
-        if (runGlobalRefs_ - runEpochMark_ >= cfg_.epochRefs) {
-            plan_.push_back({EpochPlanItem::Kind::Boundary, false, 0});
-            runEpochMark_ = runGlobalRefs_;
-            return true;
-        }
-    }
-
-    // Measurement phase: batches run until the earliest of the next
-    // epoch boundary, the next timeline-sample round, and one full
-    // batch, so neither condition is tested inside the per-reference
-    // loop.
-    while (runPhaseRefs_ < runMeasureRefs_) {
-        std::uint64_t chunk =
-            std::min({runMeasureRefs_ - runPhaseRefs_, roundsToEpoch(),
-                      batchRounds});
-        bool sample_due = false;
-        if (devp_) {
-            // Next round index ending in a timeline sample.
-            const std::uint64_t next_sample =
-                (runPhaseRefs_ + runSampleEvery_ - 1) /
-                runSampleEvery_ * runSampleEvery_;
-            if (next_sample < runMeasureRefs_ &&
-                next_sample - runPhaseRefs_ + 1 <= chunk) {
-                chunk = next_sample - runPhaseRefs_ + 1;
-                sample_due = true;
-            }
-        }
-        plan_.push_back({EpochPlanItem::Kind::Run, true, chunk});
-        runGlobalRefs_ += chunk * cfg_.numCores;
-        runPhaseRefs_ += chunk;
-        bool fired = false;
-        if (runGlobalRefs_ - runEpochMark_ >= cfg_.epochRefs) {
-            plan_.push_back({EpochPlanItem::Kind::Boundary, false, 0});
-            runEpochMark_ = runGlobalRefs_;
-            fired = true;
-        }
-        // Order matters: a sample due on a boundary round records
-        // *after* the boundary.
-        if (sample_due)
-            plan_.push_back({EpochPlanItem::Kind::Sample, false, 0});
-        if (fired)
-            return true;
-    }
-
-    // Window exhausted: close the final (possibly partial) epoch and
-    // report completion.
-    plan_.push_back({EpochPlanItem::Kind::Boundary, false, 0});
-    runActive_ = false;
-    return false;
 }
 
 void
@@ -555,51 +357,27 @@ System::recordTimelineSample(std::uint64_t insts)
 }
 
 void
-System::runItemPrivate(EpochPlanItem &item)
-{
-    switch (item.kind) {
-      case EpochPlanItem::Kind::Run:
-        item.begin = staged_.size();
-        stageRounds(item.rounds, item.measuring);
-        item.end = staged_.size();
-        break;
-      case EpochPlanItem::Kind::Reset:
-        resetMeasurementPrivate();
-        break;
-      case EpochPlanItem::Kind::Boundary:
-        // Entirely shared work.
-        break;
-      case EpochPlanItem::Kind::Sample:
-        // The instruction clocks are per-core and run ahead of the
-        // replay, so read them now; the shared half reads the rest.
-        item.insts = 0;
-        for (unsigned c = 0; c < cfg_.numCores; ++c)
-            item.insts += coreInsts_[c];
-        break;
-    }
-}
-
-void
 System::runItemShared(const EpochPlanItem &item)
 {
     switch (item.kind) {
       case EpochPlanItem::Kind::Run: {
-        const double t0 = benchNowNs(cfg_.phaseTimers);
+        const double t0 = phaseClockNs(cfg_.phaseTimers);
         // One pass over this batch's slice, in (round, core) order.
         // A step's completion follows its own event, so that core's
         // stall clock is final for that point in time; completeRequest
         // reads no other core's clock and stepShared no serving state,
         // so every shared structure and every serving sum sees the
         // order of the one-reference-at-a-time loop.
+        const std::vector<StagedStep> &staged = front_.staged();
         for (std::size_t i = item.begin; i < item.end; ++i) {
-            const StagedStep &step = staged_[i];
+            const StagedStep &step = staged[i];
             if (step.priv.needsShared())
                 stepShared(step.core, step.addr, step.priv);
             if (step.doneInsts)
                 completeRequest(step.core, step.doneInsts);
         }
         if (cfg_.phaseTimers)
-            phases_.sharedNs += benchNowNs(true) - t0;
+            phases_.sharedNs += phaseClockNs(true) - t0;
         break;
       }
       case EpochPlanItem::Kind::Reset:
@@ -618,51 +396,20 @@ System::runItemShared(const EpochPlanItem &item)
 bool
 System::stepEpoch()
 {
-    if (!runActive_)
+    if (!front_.active())
         return false;
-    if (pendingReplay_)
-        throw std::logic_error(
-            "System::stepEpoch: a staged epoch awaits "
-            "replayEpochShared()");
-
     // Each item's shared half right after its private half: the
     // staged log never holds more than one batch.
-    const bool more = planEpoch();
-    for (EpochPlanItem &item : plan_) {
-        staged_.clear();
-        runItemPrivate(item);
-        runItemShared(item);
-    }
-    return more;
-}
-
-bool
-System::stepEpochPrivate()
-{
-    if (!runActive_)
-        return false;
-    if (pendingReplay_)
-        throw std::logic_error(
-            "System::stepEpochPrivate: a staged epoch awaits "
-            "replayEpochShared()");
-
-    const bool more = planEpoch();
-    staged_.clear();
-    for (EpochPlanItem &item : plan_)
-        runItemPrivate(item);
-    pendingReplay_ = true;
+    const bool more = front_.planEpoch();
+    for (std::size_t i = 0; i < front_.plan().size(); ++i)
+        runItemShared(front_.stageItem(i));
     return more;
 }
 
 void
 System::replayEpochShared()
 {
-    if (!pendingReplay_)
-        throw std::logic_error(
-            "System::replayEpochShared: no staged epoch (call "
-            "stepEpochPrivate first)");
-    pendingReplay_ = false;
-    for (const EpochPlanItem &item : plan_)
+    for (const EpochPlanItem &item : front_.takeStagedEpoch())
         runItemShared(item);
 }
 
@@ -693,9 +440,8 @@ System::finishRun()
     SimStats out = std::move(runStats_);
     out.workload = cfg_.workload;
     out.engine = engine_->name();
-    for (unsigned c = 0; c < cfg_.numCores; ++c)
-        out.instructions += coreInsts_[c];
-    out.refs = runMeasureRefs_ * cfg_.numCores;
+    out.instructions = front_.insts();
+    out.refs = front_.measureRefs() * cfg_.numCores;
     out.llcMisses = hierarchy_.llcMisses();
     out.llcWritebacks = writebacks_;
     out.execSeconds = maxCoreTimeNs() * 1e-9;

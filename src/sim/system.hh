@@ -34,6 +34,7 @@
 #include "secmem/engine.hh"
 #include "secmem/invisimem.hh"
 #include "secmem/merkle.hh"
+#include "sim/front_end.hh"
 #include "sim/page_footprint.hh"
 #include "toleo/device.hh"
 #include "toleo/engine.hh"
@@ -42,7 +43,6 @@
 
 namespace toleo {
 
-class IntraPool;
 class TraceFile;
 class TraceWriter;
 
@@ -85,7 +85,7 @@ struct SystemConfig
     ToleoDevice *sharedDevice = nullptr;
     /** Global references per traffic epoch. */
     std::uint64_t epochRefs = 16384;
-    /** Timeline samples to keep (Figure 12). */
+    /** Timeline samples to keep (Figure 12); at least 1. */
     unsigned timelinePoints = 64;
     /**
      * Replay per-core reference streams from this loaded trace (see
@@ -275,19 +275,16 @@ class System
      * lets a rack driver run the private halves of all nodes
      * concurrently (one thread per node) and serialize only the
      * replays in strict node order (sim/rack.cc).  The private half
-     * writes only per-core state, so the phase-safety lint proves
-     * the decomposition statically, with no exception granted.  The
-     * staged log holds a whole epoch, so a serial driver should call
-     * stepEpoch() instead.
+     * is the FrontEnd's (sim/front_end.hh), which can reach no shared
+     * state.  The staged log holds a whole epoch, so a serial driver
+     * should call stepEpoch() instead.
      *
      * @return true while more work remains (same as stepEpoch()).
      * Each stepEpochPrivate() must be followed by exactly one
      * replayEpochShared() before any further stepping.
      */
-    // toleo: phase(private)
-    bool stepEpochPrivate();
+    bool stepEpochPrivate() { return front_.stageEpoch(); }
     /** Replay the staged shared half of the last stepEpochPrivate(). */
-    // toleo: phase(shared)
     void replayEpochShared();
 
     /**
@@ -309,98 +306,59 @@ class System
     /** Traffic epochs closed since beginRun(). */
     std::uint64_t epochsCompleted() const { return epochsCompleted_; }
     /** True once warmup finished and measurement began. */
-    bool measuring() const { return runMeasuring_; }
+    bool measuring() const { return front_.measuring(); }
 
     /** Phase breakdown so far; zeros unless cfg.phaseTimers. */
-    PhaseTimes phaseTimes() const { return phases_; }
+    PhaseTimes
+    phaseTimes() const
+    {
+        PhaseTimes t = phases_;
+        t.privateNs = front_.privateNs();
+        return t;
+    }
 
     const SystemConfig &config() const { return cfg_; }
     ProtectionEngine &engine() { return *engine_; }
     ToleoDevice *device() { return devp_; }
 
   private:
-    // Phase-safety annotations (checked by toleo_lint's phase-safety
-    // pass, tools/toleo_lint/phase_safety.hh): state(shared) members
-    // may only be mutated by the single-threaded shared replay;
-    // state(per-core) members are indexed/partitioned by core id and
-    // safe for the concurrent private phase.  hierarchy_ carries its
-    // discipline internally (CacheHierarchy splits l1_/l2_ from l3_).
+    /** The shared replay's state: everything below the private
+     *  levels (L3, topology, engine, device), the stall clocks, the
+     *  footprint, the serving overlay and the stats.  The per-core
+     *  state is front_'s. */
     SystemConfig cfg_;
-    // toleo: state(shared)
     MemTopology topo_;
+    /** The L3 slices; each core's L1/L2 is driven by front_. */
     CacheHierarchy hierarchy_;
     std::unique_ptr<ToleoDevice> device_; ///< owned (single-node)
-    // toleo: state(shared)
     ToleoDevice *devp_ = nullptr; ///< owned or cfg_.sharedDevice
-    // toleo: state(shared)
     std::unique_ptr<ProtectionEngine> engine_;
     InvisiMemEngine *invisimem_ = nullptr; ///< borrowed, epoch hook
     ToleoEngine *toleoEngine_ = nullptr;   ///< borrowed, stats
-    // toleo: state(per-core)
-    std::vector<std::unique_ptr<TraceGen>> gens_;
     WorkloadInfo winfo_;
 
     /** Capture sink when cfg_.recordTracePath is set; flushed by run(). */
     std::unique_ptr<TraceWriter> traceWriter_;
 
-    /** Per-core progress. */
-    // toleo: state(per-core)
-    std::vector<std::uint64_t> coreInsts_;
+    /** The private phase: generators, L1/L2, instruction clocks, the
+     *  epoch planner and the staged log. */
+    FrontEnd front_;
+
     /** Stall clocks are charged only by the shared replay (and rack
      *  backpressure), never by the private phase. */
-    // toleo: state(shared)
     std::vector<double> coreStallNs_;
 
     /** Pages touched by any reference (the simulated RSS), inserted
      *  on LLC misses by the shared replay: a page's first reference
      *  always misses every level. */
-    // toleo: state(shared)
     PageFootprint footprint_;
-    // toleo: state(shared)
     std::uint64_t writebacks_ = 0;
-    // toleo: state(shared)
     std::uint64_t metaBytes_ = 0;
 
-    // toleo: state(shared)
     ReadLatencyStats readLat_;
 
-    /** Per-core reference batches for stageRounds (generation phase
-     *  and simulation phase run over this, not through per-ref
-     *  virtual calls). */
-    // toleo: state(per-core)
-    std::vector<MemRef> refBuf_;
-
-    /** One queued step of one core: shared work (L3/memory/engine,
-     *  when priv.needsShared()), a measured request completion
-     *  (doneInsts != 0), or both. */
-    struct SharedEvent
-    {
-        std::uint32_t round;
-        PrivateAccessResult priv;
-        /** Retired insts at the completion, or 0 for none. */
-        std::uint64_t doneInsts;
-    };
-    /** Per-core step queues, in increasing round order; most
-     *  references are served privately, end no request, and queue
-     *  nothing. */
-    // toleo: state(per-core)
-    std::vector<SharedEvent> evBuf_;
-    // toleo: state(per-core)
-    std::vector<std::uint32_t> evCount_;
-    // toleo: state(per-core)
-    std::vector<std::uint32_t> evPos_;
-
-    /** Rounds of references buffered per core in one sub-batch. */
-    static constexpr std::uint64_t batchRounds = 256;
-
-    /**
-     * Worker pool for the private phase; null when cfg_.intraThreads
-     * (clamped to numCores) is 1, keeping the single-threaded path
-     * free of any synchronization.
-     */
-    std::unique_ptr<IntraPool> intraPool_;
-
-    /** Phase wall-time accumulators (cfg_.phaseTimers only). */
+    /** Shared and epoch wall-time accumulators (cfg_.phaseTimers
+     *  only); the private share is front_'s. */
     PhaseTimes phases_;
 
     /**
@@ -424,167 +382,51 @@ class System
     bool serving_ = false;
     double sloNs_ = 0.0;
     double perCoreRate_ = 0.0;
-    // toleo: state(shared)
     std::vector<ServingCore> servCores_;
-    // toleo: state(shared)
     LatencyHistogram servLatency_;
-    // toleo: state(shared)
     double servLatSumNs_ = 0.0;
-    // toleo: state(shared)
     double servQueueSumNs_ = 0.0;
-    // toleo: state(shared)
     double servSvcSumNs_ = 0.0;
-    // toleo: state(shared)
     std::uint64_t servRequests_ = 0;
-    // toleo: state(shared)
     std::uint64_t servSloMet_ = 0;
 
-    /** State of the in-flight epoch-steppable run (see beginRun). */
-    std::uint64_t runWarmupRefs_ = 0;
-    std::uint64_t runMeasureRefs_ = 0;
-    std::uint64_t runGlobalRefs_ = 0;
-    std::uint64_t runEpochMark_ = 0;
+    /** Shared state of the in-flight run (see beginRun). */
     double runLastEpochNs_ = 0.0;
-    /** Rounds completed within the current phase (warmup/measure). */
-    std::uint64_t runPhaseRefs_ = 0;
-    std::uint64_t runSampleEvery_ = 1;
-    bool runMeasuring_ = false;
-    bool runActive_ = false;
-    // toleo: state(shared)
     SimStats runStats_;
 
     /** Per-epoch observables for the rack arbiter. */
-    // toleo: state(shared)
     std::uint64_t epochToleoBytes_ = 0;
-    // toleo: state(shared)
     double epochWallNs_ = 0.0;
-    // toleo: state(shared)
     std::uint64_t epochsCompleted_ = 0;
 
-    /**
-     * One unit of epoch execution, planned ahead.  The epoch control
-     * flow (batch sizing, the warmup->measure transition,
-     * epoch-boundary detection, timeline-sample scheduling) depends
-     * only on the run-driver counters below -- never on simulated
-     * state -- so planEpoch() advances those counters and emits the
-     * ordered item list.  Every item has a private half
-     * (runItemPrivate) and a shared half (runItemShared); stepEpoch()
-     * runs them item by item, the staged path runs all private
-     * halves (stepEpochPrivate) before all shared halves
-     * (replayEpochShared).
-     */
-    struct EpochPlanItem
-    {
-        enum class Kind : std::uint8_t
-        {
-            Run,      ///< one batch: stageRounds(rounds) + its replay
-            Reset,    ///< measurement reset (warmup -> measure)
-            Boundary, ///< epochBoundary()
-            Sample,   ///< record one usage-timeline point
-        };
-        Kind kind = Kind::Run;
-        /** Run only: was the run measuring during this batch?  The
-         *  planner pre-advances runMeasuring_, so executors must use
-         *  this snapshot, not the live flag. */
-        bool measuring = false;
-        /** Run only: rounds in the batch, at most batchRounds. */
-        std::uint64_t rounds = 0;
-        /** Run only, set by the private half: the batch's slice
-         *  [begin, end) of staged_. */
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        /** Sample only, set by the private half: the retired
-         *  instructions at the sample point. */
-        std::uint64_t insts = 0;
-    };
-    /** Plan the next epoch into plan_; @return stepEpoch()'s value. */
-    bool planEpoch();
-    std::vector<EpochPlanItem> plan_;
-    /** A staged epoch is awaiting replayEpochShared(). */
-    bool pendingReplay_ = false;
-
-    /** One (round, core) step of the staged log: that core's shared
-     *  event (L3/memory/engine, when priv.needsShared()), its
-     *  measured request completion (doneInsts != 0), or both. */
-    struct StagedStep
-    {
-        std::uint32_t core;
-        Addr addr;
-        PrivateAccessResult priv;
-        /** Retired insts at the completion, or 0 for none (a
-         *  completion retires at least its own reference). */
-        std::uint64_t doneInsts;
-    };
-    /** The staged Run items' steps, in (round, core) order. */
-    std::vector<StagedStep> staged_;
-    /** Private half of one item: stage its shared work into staged_
-     *  and record the item's slice (Run) or insts (Sample). */
-    // toleo: phase(private)
-    void runItemPrivate(EpochPlanItem &item);
-    /** Shared half of one item, read from what its private half
+    /** Shared half of one plan item, read from what its private half
      *  recorded. */
-    // toleo: phase(shared)
     void runItemShared(const EpochPlanItem &item);
 
     /** Shared-state part of one reference: L3, memory, engine, and
      *  the footprint insert on an LLC miss. */
-    // toleo: phase(shared)
     void stepShared(unsigned core, Addr addr,
                     const PrivateAccessResult &priv);
-    /**
-     * Run one batch of @p rounds (<= batchRounds) rounds of one
-     * reference per core: the core-private work (generator draws and
-     * L1/L2) per core, then merge the per-core step queues into
-     * staged_ with one cursor per core, one step per (round, core)
-     * with shared work or a measured request completion, in the
-     * round-robin global order of a one-reference-at-a-time loop.
-     * The planner sizes @p rounds so no epoch boundary or timeline
-     * sample falls inside a batch.  @p measuring is its snapshot of
-     * the measurement flag; completions are staged only while
-     * measuring an open-loop run.
-     */
-    // toleo: phase(private)
-    void stageRounds(std::uint64_t rounds, bool measuring);
-    /**
-     * Core-private body of one batch for one core: generator draw,
-     * L1/L2 accesses, and queueing each reference's shared work and,
-     * when @p completions, the retired-instruction count at every
-     * reference flagged MemRef::endsRequest, in one entry of the
-     * core's step queue.  Touches only core-indexed state, so
-     * stageRounds may run it for different cores concurrently.
-     */
-    // toleo: phase(private)
-    void privateCore(unsigned core, std::uint64_t rounds,
-                     bool completions);
     /** Simulated time of @p core once it has retired @p insts
      *  instructions: base retire time plus the core's stalls. */
     double coreTimeNs(unsigned core, std::uint64_t insts) const;
     double maxCoreTimeNs() const;
     /** Lindley-recursion completion of one measured request on
      *  @p core. */
-    // toleo: phase(shared)
     void completeRequest(unsigned core, std::uint64_t instsAtDone);
     /** Zero the serving accumulators and per-core overlay state. */
     void resetServing();
-    /** The measurement reset, split like every plan item: the
-     *  per-core half (L1/L2 counters, instruction clocks) runs in
-     *  the private pass, the shared half (L3, topology, engine,
-     *  serving accumulators, stall clocks) in the replay. */
-    // toleo: phase(private)
-    void resetMeasurementPrivate();
-    // toleo: phase(shared)
+    /** The measurement reset's shared half (L3, topology, engine,
+     *  serving accumulators, stall clocks); the front end resets
+     *  L1/L2 and the instruction clocks in its own pass. */
     void resetMeasurementShared();
     /** Append one usage-timeline point (Fig 12) at @p insts retired
      *  instructions; reads the footprint and the store's dynamic
      *  bytes live, which every earlier item's shared half has
      *  updated by then. */
-    // toleo: phase(shared)
     void recordTimelineSample(std::uint64_t insts);
     /** Close the current traffic epoch (padding, bandwidth floor). */
-    // toleo: phase(shared)
     void epochBoundary();
-    /** Rounds until the next epoch boundary is due. */
-    std::uint64_t roundsToEpoch() const;
 };
 
 /** Pretty-print the Table 3 configuration. */

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "cache/set_assoc.hh"
 #include "sim/page_footprint.hh"
@@ -12,6 +13,9 @@ namespace toleo {
 TripAnalysisResult
 runTripAnalysis(const TripAnalysisConfig &cfg)
 {
+    if (cfg.timelinePoints == 0)
+        throw std::invalid_argument(
+            "runTripAnalysis: timelinePoints must be >= 1");
     TripStore store(cfg.trip);
     auto cache = SetAssocCache::fromCapacity(cfg.cacheBytes, blockSize,
                                              cfg.cacheAssoc);

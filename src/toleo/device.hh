@@ -52,17 +52,13 @@ class ToleoDevice
     /** READ request: current stealth version of a block.
      *  The device is one shared instance (per node, or per rack with
      *  multiple initiators); requests are issued strictly in the
-     *  global replay order, so the request handlers are
-     *  phase(shared). */
-    // toleo: phase(shared)
+     *  global replay order. */
     std::uint64_t read(BlockNum blk);
 
     /** UPDATE request: increment and return the new version state. */
-    // toleo: phase(shared)
     TripUpdateResult update(BlockNum blk);
 
     /** RESET request (host OS page free/remap downgrade). */
-    // toleo: phase(shared)
     void reset(PageNum page);
 
     /** Full 64-bit version (host-side view: UV ‖ stealth). */
@@ -118,7 +114,6 @@ class ToleoDevice
      *  Device-global routing state: rack drivers may only switch
      *  initiators from the serial shared sub-phase, between nodes'
      *  replays -- never while private halves are in flight. */
-    // toleo: phase(shared)
     void setActiveInitiator(unsigned id);
     unsigned activeInitiator() const { return active_; }
     unsigned initiatorCount() const
@@ -137,7 +132,6 @@ class ToleoDevice
     }
     /** Open a new arbitration epoch: zero per-initiator counts.
      *  Serial shared sub-phase only, like setActiveInitiator(). */
-    // toleo: phase(shared)
     void beginInitiatorEpoch();
 
     TripStore &store() { return store_; }
@@ -154,15 +148,10 @@ class ToleoDevice
 
   private:
     ToleoDeviceConfig cfg_;
-    // toleo: state(shared)
     TripStore store_;
-    // toleo: state(shared)
     std::uint64_t readReqs_ = 0;
-    // toleo: state(shared)
     std::uint64_t updateReqs_ = 0;
-    // toleo: state(shared)
     std::uint64_t resetReqs_ = 0;
-    // toleo: state(shared)
     std::uint64_t spaceRejections_ = 0;
 
     struct Initiator
@@ -186,14 +175,10 @@ class ToleoDevice
     }
     [[noreturn]] void rangePanic(PageNum page) const;
     /** Initiator 0 (the classic single-node owner) always exists. */
-    // toleo: state(shared)
     std::vector<Initiator> initiators_{1};
-    // toleo: state(shared)
     unsigned active_ = 0;
     /** Cached offsets of the active initiator (hot request path). */
-    // toleo: state(shared)
     std::uint64_t activePageOff_ = 0;
-    // toleo: state(shared)
     std::uint64_t activeBlockOff_ = 0;
 
     void

@@ -55,7 +55,6 @@ class ToleoEngine : public CiEngine
     void resetMeasurement() override;
 
     const StealthCache &stealthCache() const { return scache_; }
-    ToleoDevice &device() { return device_; }
 
     /** UV_UPDATE page re-encryptions since the last reset. */
     std::uint64_t pageReencryptions() const { return pageReencryptions_; }

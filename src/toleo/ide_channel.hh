@@ -115,7 +115,6 @@ class IdeLinkArbiter
     /** Queue @p bytes of link traffic on @p port.  Arbiter state is
      *  rack-shared: only the serial shared sub-phase of the rack
      *  epoch loop may call this (never a node's private half). */
-    // toleo: phase(shared)
     void enqueue(unsigned port, std::uint64_t bytes);
 
     /**
@@ -123,7 +122,6 @@ class IdeLinkArbiter
      * Rack-shared, like enqueue(): serial sub-phase only.
      * @return Bytes actually granted (<= capacity and <= demand).
      */
-    // toleo: phase(shared)
     std::uint64_t serveEpoch(std::uint64_t capacityBytes);
 
     /** Bytes still queued on @p port after the last serveEpoch(). */

@@ -63,14 +63,11 @@ class StealthCache
      * @param is_update Version update (marks entries dirty).
      *
      * The stealth caches sit beside the (shared) LLC and are probed
-     * per miss during the global-order replay, so the mutating entry
-     * points are phase(shared).
+     * per miss during the global-order replay.
      */
-    // toleo: phase(shared)
     StealthLookup access(BlockNum blk, TripFormat fmt, bool is_update);
 
     /** Drop a page's overflow entries (downgrade/reset/free). */
-    // toleo: phase(shared)
     void invalidatePage(PageNum page);
 
     /** Read-path (LLC-miss) hits: what Figure 7 reports. */
@@ -93,22 +90,15 @@ class StealthCache
   private:
     StealthCacheConfig cfg_;
     /** Fully associative TLB extension, keyed by page number. */
-    // toleo: state(shared)
     FullyAssocCache tlb_;
     /** Overflow buffer keyed by (page << 2) | 56B-chunk index. */
-    // toleo: state(shared)
     SetAssocCache overflow_;
     /** Update write-combining buffer (page-granular, LRU). */
-    // toleo: state(shared)
     FullyAssocCache combine_;
 
-    // toleo: state(shared)
     std::uint64_t hits_ = 0;
-    // toleo: state(shared)
     std::uint64_t misses_ = 0;
-    // toleo: state(shared)
     std::uint64_t updateHits_ = 0;
-    // toleo: state(shared)
     std::uint64_t updateMisses_ = 0;
 
     std::uint64_t overflowKey(PageNum page, unsigned chunk) const;

@@ -150,27 +150,23 @@ TraceWriter::TraceWriter(unsigned streamCount, std::string workload,
 }
 
 void
-TraceWriter::append(unsigned stream, const MemRef *refs,
-                    std::size_t n)
+TraceWriter::Stream::append(const MemRef *refs, std::size_t n)
 {
-    Stream &s = streams_[stream];
     for (std::size_t i = 0; i < n; ++i) {
         const MemRef &ref = refs[i];
-        putVarint(s.bytes,
-                  zigzag(static_cast<std::int64_t>(ref.addr -
-                                                   s.prevAddr)));
-        putVarint(s.bytes,
-                  (static_cast<std::uint64_t>(ref.instGap) << 1) |
-                      (ref.isWrite ? 1 : 0));
-        s.prevAddr = ref.addr;
+        putVarint(bytes_,
+                  zigzag(static_cast<std::int64_t>(ref.addr - prevAddr_)));
+        putVarint(bytes_, (static_cast<std::uint64_t>(ref.instGap) << 1) |
+                              (ref.isWrite ? 1 : 0));
+        prevAddr_ = ref.addr;
     }
-    s.count += n;
+    count_ += n;
 }
 
 std::uint64_t
 TraceWriter::recordCount(unsigned stream) const
 {
-    return streams_[stream].count;
+    return streams_[stream].count_;
 }
 
 void
@@ -191,9 +187,9 @@ TraceWriter::writeTo(const std::string &path) const
         headerBytes + streams_.size() * tableEntryBytes;
     for (const Stream &s : streams_) {
         putU64(head, offset);
-        putU64(head, s.bytes.size());
-        putU64(head, s.count);
-        offset += s.bytes.size();
+        putU64(head, s.bytes_.size());
+        putU64(head, s.count_);
+        offset += s.bytes_.size();
     }
 
     // Whole-file checksum with the checksum field zeroed (it still
@@ -201,7 +197,7 @@ TraceWriter::writeTo(const std::string &path) const
     std::uint64_t sum = fnv1a(fnvOffsetBasis, head.data(),
                               head.size());
     for (const Stream &s : streams_)
-        sum = fnv1a(sum, s.bytes.data(), s.bytes.size());
+        sum = fnv1a(sum, s.bytes_.data(), s.bytes_.size());
     for (int i = 0; i < 8; ++i)
         head[checksumOffset + i] =
             static_cast<std::uint8_t>(sum >> (8 * i));
@@ -213,8 +209,8 @@ TraceWriter::writeTo(const std::string &path) const
     out.write(reinterpret_cast<const char *>(head.data()),
               static_cast<std::streamsize>(head.size()));
     for (const Stream &s : streams_)
-        out.write(reinterpret_cast<const char *>(s.bytes.data()),
-                  static_cast<std::streamsize>(s.bytes.size()));
+        out.write(reinterpret_cast<const char *>(s.bytes_.data()),
+                  static_cast<std::streamsize>(s.bytes_.size()));
     out.flush();
     if (!out)
         throw TraceError("error writing trace file '" + path + "'");

@@ -78,11 +78,32 @@ class TraceError : public std::runtime_error
 class TraceWriter
 {
   public:
+    /** One core's encoded payload. */
+    class Stream
+    {
+      public:
+        /** Append @p n references. */
+        void append(const MemRef *refs, std::size_t n);
+
+      private:
+        friend class TraceWriter;
+        std::vector<std::uint8_t> bytes_;
+        std::uint64_t count_ = 0;
+        Addr prevAddr_ = 0;
+    };
+
     TraceWriter(unsigned streamCount, std::string workload,
                 std::uint64_t seed);
 
     /** Append @p n references to @p stream's payload. */
-    void append(unsigned stream, const MemRef *refs, std::size_t n);
+    void
+    append(unsigned stream, const MemRef *refs, std::size_t n)
+    {
+        streams_[stream].append(refs, n);
+    }
+
+    /** Stream @p index, for a capture that appends to it alone. */
+    Stream &stream(unsigned index) { return streams_[index]; }
 
     std::uint64_t recordCount(unsigned stream) const;
     unsigned streamCount() const
@@ -94,17 +115,6 @@ class TraceWriter
     void writeTo(const std::string &path) const;
 
   private:
-    struct Stream
-    {
-        std::vector<std::uint8_t> bytes;
-        std::uint64_t count = 0;
-        Addr prevAddr = 0;
-    };
-
-    /** One stream per source core; RecordingTraceGen appends to its
-     *  own stream only, so concurrent private-phase capture stays
-     *  disjoint. */
-    // toleo: state(per-core)
     std::vector<Stream> streams_;
     std::string workload_;
     std::uint64_t seed_;
@@ -191,19 +201,20 @@ class TraceReplayGen : public TraceGen
 
 /**
  * Transparent capture wrapper: forwards every batch to the wrapped
- * generator and appends it to a TraceWriter stream.  The wrapped
- * generator's draw sequence is untouched, so a recorded run's stats
- * are byte-identical to an unrecorded one.  The writer keeps
- * addresses, stores and gaps but not request ends, so a capture is
- * the same under every arrival model.
+ * generator and appends it to one TraceWriter stream, the only part
+ * of the writer it can reach.  The wrapped generator's draw sequence
+ * is untouched, so a recorded run's stats are byte-identical to an
+ * unrecorded one.  The writer keeps addresses, stores and gaps but
+ * not request ends, so a capture is the same under every arrival
+ * model.
  */
 class RecordingTraceGen : public TraceGen
 {
   public:
     RecordingTraceGen(std::unique_ptr<TraceGen> inner,
-                      TraceWriter &writer, unsigned stream)
+                      TraceWriter::Stream &stream)
         : TraceGen(inner->info()), inner_(std::move(inner)),
-          writer_(writer), stream_(stream)
+          stream_(stream)
     {
     }
 
@@ -211,13 +222,12 @@ class RecordingTraceGen : public TraceGen
     nextBatch(MemRef *out, std::size_t n) override
     {
         inner_->nextBatch(out, n);
-        writer_.append(stream_, out, n);
+        stream_.append(out, n);
     }
 
   private:
     std::unique_ptr<TraceGen> inner_;
-    TraceWriter &writer_;
-    unsigned stream_;
+    TraceWriter::Stream &stream_;
 };
 
 } // namespace toleo

@@ -74,15 +74,13 @@ class TraceGen
      * field of each: callers reuse one buffer across batches, so a
      * field left alone would carry an earlier batch's value.  One
      * virtual dispatch per batch.  Generators are per-core
-     * instances, so the draw paths run in the concurrent private
-     * phase; the phase(private) annotation covers every override
-     * (toleo_lint fans a virtual root out over the index).
+     * instances, owned by the core's CoreFront (sim/front_end.hh),
+     * so the draw paths run in the concurrent private phase and
+     * must write only the generator's own state.
      */
-    // toleo: phase(private)
     virtual void nextBatch(MemRef *out, std::size_t n) = 0;
 
     /** Produce the next reference: a batch of one. */
-    // toleo: phase(private)
     MemRef
     next()
     {

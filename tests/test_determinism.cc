@@ -16,13 +16,16 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/front_end.hh"
 #include "sim/rack.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
+#include "workload/request.hh"
 
 using namespace toleo;
 
@@ -373,6 +376,107 @@ TEST(ServingDeterminism, RackSameBytesAcrossRunsAndThreads)
     EXPECT_EQ(a, c);
     ASSERT_EQ(a.size(), 1u);
     EXPECT_NE(a[0].find("\"serving\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// The front end's staged log depends on the workload, seed, cores,
+// window and arrival model, not on the engine: the one
+// engine-dependent input a FrontEnd takes is whether Toleo's Fig 12
+// timeline samples are due, and those only split batches.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A whole run's staged steps, Run item after Run item. */
+struct StagedRun
+{
+    std::vector<std::tuple<std::uint32_t, Addr, unsigned, BlockNum,
+                           BlockNum, bool, bool, std::uint64_t>>
+        steps;
+    std::size_t runItems = 0;
+};
+
+StagedRun
+stageWholeRun(const std::string &workload, bool open, bool samples,
+              unsigned intra)
+{
+    constexpr unsigned cores = 4;
+    const SystemConfig cfg =
+        makeScaledConfig(workload, EngineKind::Toleo, cores);
+    CacheHierarchyConfig hc = cfg.caches;
+    hc.numCores = cores;
+    CacheHierarchy caches(hc);
+    std::vector<CoreFront> fronts;
+    for (unsigned c = 0; c < cores; ++c) {
+        std::unique_ptr<TraceGen> gen =
+            makeWorkload(workload, c, cfg.seed);
+        if (open)
+            gen = std::make_unique<RequestSource>(
+                std::move(gen), ArrivalConfig{}.requestRefs);
+        fronts.emplace_back(std::move(gen), caches.privateCaches(c));
+    }
+    FrontEndParams params;
+    params.epochRefs = cfg.epochRefs;
+    params.timelinePoints = cfg.timelinePoints;
+    params.samples = samples;
+    params.serving = open;
+    params.intraThreads = intra;
+    FrontEnd front(std::move(fronts), params);
+
+    StagedRun out;
+    front.beginRun(3000, 6000);
+    for (bool more = true; more;) {
+        more = front.stageEpoch();
+        const std::vector<StagedStep> &log = front.staged();
+        for (const EpochPlanItem &item : front.takeStagedEpoch()) {
+            if (item.kind != EpochPlanItem::Kind::Run)
+                continue;
+            ++out.runItems;
+            for (std::size_t i = item.begin; i < item.end; ++i) {
+                const StagedStep &s = log[i];
+                const unsigned n = s.priv.numSpills;
+                out.steps.emplace_back(
+                    s.core, s.addr, n, n > 0 ? s.priv.spills[0] : 0,
+                    n > 1 ? s.priv.spills[1] : 0, s.priv.l1Hit,
+                    s.priv.l2Miss, s.doneInsts);
+            }
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(FrontEndDeterminism, StagedLogIndependentOfEngineAndThreads)
+{
+    for (const auto &[workload, open] :
+         {std::pair<const char *, bool>{"bsw", false},
+          {"redis", false},
+          {"kvs", true}}) {
+        const StagedRun sampled = stageWholeRun(workload, open, true, 1);
+        const StagedRun plain = stageWholeRun(workload, open, false, 1);
+        const StagedRun threaded =
+            stageWholeRun(workload, open, false, 4);
+        // Not vacuous: sampling really split batches, and the
+        // open-loop log really carries completions.
+        EXPECT_GT(sampled.runItems, plain.runItems) << workload;
+        EXPECT_EQ(plain.runItems, threaded.runItems) << workload;
+        if (open) {
+            bool completions = false;
+            for (const auto &step : plain.steps)
+                completions = completions || std::get<7>(step) != 0;
+            EXPECT_TRUE(completions) << workload;
+        }
+        ASSERT_FALSE(plain.steps.empty()) << workload;
+        ASSERT_EQ(sampled.steps.size(), plain.steps.size()) << workload;
+        ASSERT_EQ(threaded.steps.size(), plain.steps.size()) << workload;
+        for (std::size_t i = 0; i < plain.steps.size(); ++i) {
+            ASSERT_EQ(sampled.steps[i], plain.steps[i])
+                << workload << " step " << i;
+            ASSERT_EQ(threaded.steps[i], plain.steps[i])
+                << workload << " step " << i;
+        }
+    }
 }
 
 TEST(SweepTiming, PhaseBreakdownReported)

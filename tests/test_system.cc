@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -281,6 +282,24 @@ TEST(MeasurementWindow, InvisiMemDummyBytesStayWithinTargetRate)
         EXPECT_LE(st.dummyBpi * static_cast<double>(st.instructions),
                   target_bytes)
             << wl;
+    }
+}
+
+TEST(System, RejectsZeroTimelinePoints)
+{
+    // A NoProtect cell keeps no timeline, yet its planner still
+    // divides the window by the point count: reject the value by
+    // name instead of dividing by zero.
+    for (const EngineKind kind : {EngineKind::NoProtect, EngineKind::Toleo}) {
+        SystemConfig cfg = smallConfig("bsw", kind);
+        cfg.timelinePoints = 0;
+        try {
+            System sys(cfg);
+            ADD_FAILURE() << engineKindName(kind) << ": no throw";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("timelinePoints"),
+                      std::string::npos);
+        }
     }
 }
 
