@@ -2,11 +2,12 @@
  * @file
  * Trace capture and replay, end to end.
  *
- * 1. Runs a synthetic bsw cell with capture enabled, writing every
- *    core's reference stream to a TOLEOTRC trace file.
- * 2. Replays that file through a fresh System and shows the stats
- *    are byte-identical to the live run -- the file-backed stream
- *    is a faithful stand-in for the generator.
+ * 1. Captures a synthetic bsw cell's streams: captureTrace draws
+ *    every core's generator for the cell's warmup + measure window,
+ *    with no System, and writes a TOLEOTRC trace file.
+ * 2. Runs the live cell, replays the file through a fresh System,
+ *    and shows the stats are byte-identical -- the file-backed
+ *    stream is a faithful stand-in for the generator.
  * 3. Replays the same capture under a different protection engine,
  *    the workflow real application traces enable: one capture,
  *    every engine of the grid.
@@ -34,12 +35,9 @@ main(int argc, char **argv)
     opts.warmupRefs = 5000;
     opts.measureRefs = 20000;
 
-    // 1. Capture: the synthetic generators run as usual; a
-    //    transparent wrapper streams their output to disk.
-    opts.recordTracePath = path;
-    const SimStats live =
-        runSweepCell({"bsw", EngineKind::Toleo}, opts);
-    opts.recordTracePath.clear();
+    // 1. Capture: the raw draws of the cell's generators.
+    captureTrace(path, "bsw", opts.cores, opts.seed,
+                 opts.warmupRefs + opts.measureRefs);
 
     const auto trace = TraceFile::open(path);
     std::printf("captured %s: %u streams x %llu records -> %s\n",
@@ -48,7 +46,9 @@ main(int argc, char **argv)
                     trace->recordCount(0)),
                 path.c_str());
 
-    // 2. Replay through the identical window and compare.
+    // 2. Run the live cell, replay the identical window, compare.
+    const SimStats live =
+        runSweepCell({"bsw", EngineKind::Toleo}, opts);
     opts.trace = trace;
     const SimStats replay =
         runSweepCell({"bsw", EngineKind::Toleo}, opts);

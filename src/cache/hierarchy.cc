@@ -18,7 +18,6 @@ PrivateCaches::resetStats()
 }
 
 CacheHierarchy::CacheHierarchy(const CacheHierarchyConfig &cfg)
-    : cfg_(cfg)
 {
     if (cfg.numCores == 0)
         panic("CacheHierarchy: zero cores");
@@ -39,45 +38,6 @@ CacheHierarchy::l3SliceFor(unsigned core)
     return l3_[l3SliceOf_[core]];
 }
 
-const SetAssocCache &
-CacheHierarchy::l3SliceFor(unsigned core) const
-{
-    return l3_[l3SliceOf_[core]];
-}
-
-HierarchyResult
-CacheHierarchy::access(unsigned core, BlockNum blk, bool is_write)
-{
-    if (core >= cfg_.numCores)
-        panic("CacheHierarchy: core %u out of range", core);
-
-    HierarchyResult res;
-    const PrivateAccessResult priv = accessPrivate(core, blk, is_write);
-    accessShared(core, blk, priv, res);
-
-    if (priv.l1Hit) {
-        res.servedBy = 1;
-        res.onChipLatency = cfg_.l1Latency;
-    } else if (!priv.l2Miss) {
-        res.servedBy = 2;
-        res.onChipLatency = cfg_.l1Latency + cfg_.l2Latency;
-    } else {
-        res.servedBy = res.llcMiss ? 4 : 3;
-        res.onChipLatency =
-            cfg_.l1Latency + cfg_.l2Latency + cfg_.l3Latency;
-    }
-    return res;
-}
-
-std::uint64_t
-CacheHierarchy::llcHits() const
-{
-    std::uint64_t n = 0;
-    for (const auto &slice : l3_)
-        n += slice.hits();
-    return n;
-}
-
 std::uint64_t
 CacheHierarchy::llcMisses() const
 {
@@ -85,36 +45,6 @@ CacheHierarchy::llcMisses() const
     for (const auto &slice : l3_)
         n += slice.misses();
     return n;
-}
-
-std::uint64_t
-CacheHierarchy::llcAccesses() const
-{
-    return llcHits() + llcMisses();
-}
-
-double
-CacheHierarchy::llcMissRate() const
-{
-    const auto total = llcAccesses();
-    return total ? static_cast<double>(llcMisses()) / total : 0.0;
-}
-
-std::uint64_t
-CacheHierarchy::llcWritebacks() const
-{
-    std::uint64_t n = 0;
-    for (const auto &slice : l3_)
-        n += slice.writebacks();
-    return n;
-}
-
-void
-CacheHierarchy::resetStats()
-{
-    for (auto &p : private_)
-        p.resetStats();
-    resetLlcStats();
 }
 
 void

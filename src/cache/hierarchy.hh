@@ -67,13 +67,10 @@ class WritebackList
     unsigned count_ = 0;
 };
 
-/** What the hierarchy asks the memory system to do for one access. */
+/** What the shared level asks the memory system to do for one
+ *  access. */
 struct HierarchyResult
 {
-    /** Level that served the access: 1, 2, 3, or 4 (= memory). */
-    unsigned servedBy = 1;
-    /** On-chip lookup latency accumulated before leaving the chip. */
-    Cycles onChipLatency = 0;
     /** LLC miss: a block must be fetched from memory. */
     bool llcMiss = false;
     /**
@@ -177,16 +174,6 @@ class CacheHierarchy
   public:
     explicit CacheHierarchy(const CacheHierarchyConfig &cfg);
 
-    /**
-     * Run one load/store from a core through L1 -> L2 -> L3.
-     * Equivalent to accessPrivate() immediately followed by
-     * accessShared(); batching drivers call the halves directly.
-     * @param core Issuing core id.
-     * @param blk Cache-block number accessed.
-     * @param is_write Store (marks lines dirty).
-     */
-    HierarchyResult access(unsigned core, BlockNum blk, bool is_write);
-
     /** Private half: @p core's L1 and L2 (PrivateCaches::access). */
     PrivateAccessResult
     accessPrivate(unsigned core, BlockNum blk, bool is_write)
@@ -196,8 +183,8 @@ class CacheHierarchy
 
     /**
      * Shared half: L3 probes for spilled victims and the L3 access
-     * for an L2 miss.  Must run in global reference order; fills
-     * res.memWritebacks / res.llcMiss exactly as access() does.
+     * for an L2 miss of @p core's private half.  Must run in global
+     * reference order; fills res.memWritebacks and res.llcMiss.
      */
     void
     accessShared(unsigned core, BlockNum blk,
@@ -222,21 +209,13 @@ class CacheHierarchy
      *  apart from the shared L3 (sim/front_end.hh). */
     PrivateCaches &privateCaches(unsigned core) { return private_[core]; }
 
-    std::uint64_t llcHits() const;
     std::uint64_t llcMisses() const;
-    std::uint64_t llcAccesses() const;
-    double llcMissRate() const;
-    std::uint64_t llcWritebacks() const;
 
-    const CacheHierarchyConfig &config() const { return cfg_; }
-    /** Zero every level's counters. */
-    void resetStats();
-    /** Zero the L3 slices' counters only: a driver that resets each
-     *  core's PrivateCaches itself resets the shared level here. */
+    /** Zero the L3 slices' counters; each core's L1/L2 counters are
+     *  PrivateCaches::resetStats()'s. */
     void resetLlcStats();
 
   private:
-    CacheHierarchyConfig cfg_;
     std::vector<PrivateCaches> private_;
     /** L3 slices are shared across the cores of a slice: only the
      *  global-order shared replay may touch them. */
@@ -245,7 +224,6 @@ class CacheHierarchy
     std::vector<unsigned> l3SliceOf_;
 
     SetAssocCache &l3SliceFor(unsigned core);
-    const SetAssocCache &l3SliceFor(unsigned core) const;
 };
 
 } // namespace toleo

@@ -11,9 +11,11 @@
  * runs it concurrently (the intra pool, one CoreFront per body; the
  * rack pool, one FrontEnd per body) cannot write shared state.  The
  * System constructor is the one place that hands a front end
- * anything -- the generators it builds and its hierarchy's per-core
- * caches -- so a generator storing a pointer to shared state is
- * what to look for there; the TSan jobs check it at run time.
+ * anything: its hierarchy's per-core caches, and the generators it
+ * builds (a synthetic or replay generator, optionally wrapped in a
+ * RequestSource), each of which writes only its own state.  A
+ * capture draws the generators outside any System (captureTrace in
+ * workload/trace_file.hh), so no front end writes a file.
  */
 
 #ifndef TOLEO_SIM_FRONT_END_HH

@@ -7,7 +7,6 @@
 
 #include "common/logging.hh"
 #include "sim/intra_pool.hh"
-#include "workload/trace_file.hh"
 
 namespace toleo {
 
@@ -18,7 +17,6 @@ runSweepCell(const SweepCell &cell, const SweepOptions &opts)
         makeScaledConfig(cell.workload, cell.engine, opts.cores);
     cfg.seed = opts.seed;
     cfg.trace = opts.trace;
-    cfg.recordTracePath = opts.recordTracePath;
     cfg.intraThreads = opts.intraThreads;
     cfg.arrival = opts.arrival;
     System sys(cfg);
@@ -84,16 +82,6 @@ runSweep(const std::vector<SweepCell> &cells,
          const SweepOptions &opts, const SweepProgressFn &progress,
          const SweepCellFn &cellFn)
 {
-    // Recording writes one trace file per run(), so a multi-cell
-    // grid would have every cell truncate and rewrite the same path
-    // (concurrently under jobs>1).  Enforce the invariant here, not
-    // just in the toleo_sim CLI, so library callers hit a clean
-    // error instead of a corrupt capture.
-    if (!opts.recordTracePath.empty() && cells.size() > 1)
-        throw TraceError(
-            "recordTracePath captures a single cell; got " +
-            std::to_string(cells.size()) + " cells");
-
     std::vector<SimStats> results(cells.size());
     runCellPool(
         cells.size(), opts.jobs,
@@ -138,11 +126,6 @@ runRackSweep(const std::vector<SweepCell> &cells,
     if (opts.rackNodes == 0)
         throw std::invalid_argument(
             "runRackSweep: rackNodes must be positive");
-    // Rack cells run N Systems; recording would have every node
-    // truncate and rewrite one capture path.
-    if (!opts.recordTracePath.empty())
-        throw TraceError(
-            "recordTracePath is not supported in rack mode");
 
     std::vector<RackStats> results(cells.size());
     runCellPool(

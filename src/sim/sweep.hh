@@ -8,7 +8,9 @@
  * share no mutable state, so the grid is embarrassingly parallel:
  * runSweep() fans cells out over an IntraPool (sim/intra_pool.hh)
  * and returns results in deterministic row-major (workload-major)
- * order regardless of completion order.
+ * order regardless of completion order.  A cell writes no file:
+ * capturing a workload's streams needs no System and is
+ * captureTrace()'s job (workload/trace_file.hh).
  */
 
 #ifndef TOLEO_SIM_SWEEP_HH
@@ -55,8 +57,6 @@ struct SweepOptions
      * read-only, so a sweep decodes the file once, not once per cell.
      */
     std::shared_ptr<const TraceFile> trace;
-    /** Record the (single) cell's generator streams to this file. */
-    std::string recordTracePath;
     /**
      * Rack mode (runRackSweep): simulate each cell as this many
      * compute nodes sharing one Toleo device (node i seeds with
@@ -130,8 +130,7 @@ using RackSweepProgressFn = std::function<void(
  * Rack-mode grid runner: every cell becomes an opts.rackNodes-node
  * rack simulation (runRack).  Same worker-pool, ordering, and
  * error-surfacing contract as runSweep; cells share a preloaded
- * trace the same way.  Trace *recording* is rejected (every node
- * would clobber one capture path).
+ * trace the same way.
  */
 std::vector<RackStats> runRackSweep(
     const std::vector<SweepCell> &cells, const SweepOptions &opts,

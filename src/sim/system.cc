@@ -14,15 +14,11 @@ namespace toleo {
 
 namespace {
 
-/** @p cfg, once every setting a System cannot run with is rejected:
- *  trace defects throw TraceError (see trace_file.hh), the rest
- *  std::invalid_argument, so library callers can catch either. */
+/** @p cfg, once every setting a System cannot run with is rejected
+ *  by a std::invalid_argument that names the field. */
 const SystemConfig &
 checked(const SystemConfig &cfg)
 {
-    if (cfg.trace && !cfg.recordTracePath.empty())
-        throw TraceError(
-            "a System cannot replay and record a trace at once");
     if (cfg.timelinePoints == 0)
         throw std::invalid_argument(
             "System: timelinePoints must be >= 1");
@@ -39,18 +35,30 @@ checked(const SystemConfig &cfg)
         if (cfg.arrival.requestRefs == 0)
             throw std::invalid_argument(
                 "System: arrival.requestRefs must be >= 1");
+        // The draws drawInterarrivalNs makes: a rate too small for
+        // the per-core mean, or a CV too large for the lognormal's
+        // variance, overflows to inf and every latency clamps.
+        if (!std::isfinite(1e9 / (cfg.arrival.ratePerSec / cfg.numCores)))
+            throw std::invalid_argument(
+                "System: arrival.ratePerSec gives a non-finite "
+                "per-core mean interarrival");
+        if (cfg.arrival.kind == ArrivalKind::Burst &&
+            !std::isfinite(std::log1p(cfg.arrival.cv * cfg.arrival.cv)))
+            throw std::invalid_argument(
+                "System: arrival.cv gives a non-finite lognormal "
+                "variance");
     }
     return cfg;
 }
 
 /**
  * Every core's private phase: its generator and its L1/L2.  These
- * are all a front end is handed, so this is where to check that a
- * generator stores no pointer to shared state.
+ * are all a front end is handed, and each generator writes only its
+ * own state.
  */
 std::vector<CoreFront>
 coreFronts(const SystemConfig &cfg, const WorkloadInfo &winfo,
-           CacheHierarchy &caches, TraceWriter *writer)
+           CacheHierarchy &caches)
 {
     std::vector<CoreFront> cores;
     cores.reserve(cfg.numCores);
@@ -67,11 +75,6 @@ coreFronts(const SystemConfig &cfg, const WorkloadInfo &winfo,
         if (cfg.arrival.open())
             gen = std::make_unique<RequestSource>(
                 std::move(gen), cfg.arrival.requestRefs);
-        // Capture outermost, so the trace holds the raw draws under
-        // any arrival model.
-        if (writer)
-            gen = std::make_unique<RecordingTraceGen>(std::move(gen),
-                                                      writer->stream(c));
         cores.emplace_back(std::move(gen), caches.privateCaches(c));
     }
     return cores;
@@ -101,11 +104,7 @@ System::System(const SystemConfig &cfg)
           return c;
       }()),
       winfo_(workloadInfo(cfg.workload)),
-      traceWriter_(cfg.recordTracePath.empty()
-                       ? nullptr
-                       : std::make_unique<TraceWriter>(
-                             cfg.numCores, cfg.workload, cfg.seed)),
-      front_(coreFronts(cfg, winfo_, hierarchy_, traceWriter_.get()),
+      front_(coreFronts(cfg, winfo_, hierarchy_),
              // Only a Toleo run has a device for Fig 12 to sample.
              {cfg.epochRefs, cfg.timelinePoints,
               cfg.engine == EngineKind::Toleo, cfg.arrival.open(),
@@ -521,11 +520,6 @@ System::finishRun()
         sv.maxLatencyUs = servLatency_.maxNs() * 1e-3;
         sv.latency = servLatency_;
     }
-
-    // Flush the capture (warmup + measurement) so a replay of the
-    // same window consumes exactly the recorded stream.
-    if (traceWriter_)
-        traceWriter_->writeTo(cfg_.recordTracePath);
     return out;
 }
 

@@ -44,7 +44,6 @@
 namespace toleo {
 
 class TraceFile;
-class TraceWriter;
 
 /** The protection configurations evaluated in Section 7. */
 enum class EngineKind
@@ -95,8 +94,6 @@ struct SystemConfig
      * uses.  Read-only, so every cell of a sweep shares one instance.
      */
     std::shared_ptr<const TraceFile> trace;
-    /** Record every core's generated stream to this trace file. */
-    std::string recordTracePath;
     /**
      * Worker threads for the core-private phase of each epoch batch
      * (the calling thread counts, so 1 = single-threaded).  Any
@@ -336,9 +333,6 @@ class System
     InvisiMemEngine *invisimem_ = nullptr; ///< borrowed, epoch hook
     ToleoEngine *toleoEngine_ = nullptr;   ///< borrowed, stats
     WorkloadInfo winfo_;
-
-    /** Capture sink when cfg_.recordTracePath is set; flushed by run(). */
-    std::unique_ptr<TraceWriter> traceWriter_;
 
     /** The private phase: generators, L1/L2, instruction clocks, the
      *  epoch planner and the staged log. */

@@ -1,7 +1,6 @@
 #include "sim/trip_analysis.hh"
 
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "cache/set_assoc.hh"
@@ -55,35 +54,6 @@ runTripAnalysis(const TripAnalysisConfig &cfg)
     res.updates = store.updates();
     res.resets = store.resets();
     return res;
-}
-
-std::string
-TripProfileCache::keyOf(const TripAnalysisConfig &cfg)
-{
-    // Every field that feeds the analysis; a new config knob must be
-    // added here or equal-key configs could alias (the unit test
-    // exercises each existing field).
-    std::ostringstream key;
-    key << cfg.workload << '|' << cfg.cores << '|' << cfg.seed << '|'
-        << cfg.cacheBytes << '|' << cfg.cacheAssoc << '|'
-        << cfg.refsPerCore << '|' << cfg.timelinePoints << '|'
-        << cfg.trip.stealthBits << '|' << cfg.trip.uvBits << '|'
-        << cfg.trip.resetLog2 << '|' << cfg.trip.offsetBits << '|'
-        << cfg.trip.seed;
-    return key.str();
-}
-
-const TripAnalysisResult &
-TripProfileCache::get(const TripAnalysisConfig &cfg)
-{
-    const std::string key = keyOf(cfg);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-        ++hits_;
-        return it->second;
-    }
-    ++misses_;
-    return cache_.emplace(key, runTripAnalysis(cfg)).first->second;
 }
 
 } // namespace toleo

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "toleo/trip.hh"
@@ -54,33 +53,6 @@ struct TripAnalysisResult
 
 /** Run the cache-only analysis for one workload. */
 TripAnalysisResult runTripAnalysis(const TripAnalysisConfig &cfg);
-
-/**
- * Memoizing front end for runTripAnalysis.
- *
- * Capacity planners (examples/rack_scale) profile tenant lists in
- * which workloads repeat; the analysis costs millions of simulated
- * references per workload and is a pure function of its config, so
- * duplicate tenants should pay for it exactly once.  Entries are
- * keyed on every TripAnalysisConfig field that can change the
- * result, and returned by reference (stable until the cache dies).
- */
-class TripProfileCache
-{
-  public:
-    /** Profile @p cfg, running the analysis only on first sight. */
-    const TripAnalysisResult &get(const TripAnalysisConfig &cfg);
-
-    std::size_t hits() const { return hits_; }
-    std::size_t misses() const { return misses_; }
-
-  private:
-    static std::string keyOf(const TripAnalysisConfig &cfg);
-
-    std::unordered_map<std::string, TripAnalysisResult> cache_;
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
-};
 
 } // namespace toleo
 

@@ -1,5 +1,6 @@
 #include "workload/trace_file.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 
@@ -150,23 +151,24 @@ TraceWriter::TraceWriter(unsigned streamCount, std::string workload,
 }
 
 void
-TraceWriter::Stream::append(const MemRef *refs, std::size_t n)
+TraceWriter::append(unsigned stream, const MemRef *refs, std::size_t n)
 {
+    Stream &s = streams_[stream];
     for (std::size_t i = 0; i < n; ++i) {
         const MemRef &ref = refs[i];
-        putVarint(bytes_,
-                  zigzag(static_cast<std::int64_t>(ref.addr - prevAddr_)));
-        putVarint(bytes_, (static_cast<std::uint64_t>(ref.instGap) << 1) |
-                              (ref.isWrite ? 1 : 0));
-        prevAddr_ = ref.addr;
+        putVarint(s.bytes,
+                  zigzag(static_cast<std::int64_t>(ref.addr - s.prevAddr)));
+        putVarint(s.bytes, (static_cast<std::uint64_t>(ref.instGap) << 1) |
+                               (ref.isWrite ? 1 : 0));
+        s.prevAddr = ref.addr;
     }
-    count_ += n;
+    s.count += n;
 }
 
 std::uint64_t
 TraceWriter::recordCount(unsigned stream) const
 {
-    return streams_[stream].count_;
+    return streams_[stream].count;
 }
 
 void
@@ -187,9 +189,9 @@ TraceWriter::writeTo(const std::string &path) const
         headerBytes + streams_.size() * tableEntryBytes;
     for (const Stream &s : streams_) {
         putU64(head, offset);
-        putU64(head, s.bytes_.size());
-        putU64(head, s.count_);
-        offset += s.bytes_.size();
+        putU64(head, s.bytes.size());
+        putU64(head, s.count);
+        offset += s.bytes.size();
     }
 
     // Whole-file checksum with the checksum field zeroed (it still
@@ -197,7 +199,7 @@ TraceWriter::writeTo(const std::string &path) const
     std::uint64_t sum = fnv1a(fnvOffsetBasis, head.data(),
                               head.size());
     for (const Stream &s : streams_)
-        sum = fnv1a(sum, s.bytes_.data(), s.bytes_.size());
+        sum = fnv1a(sum, s.bytes.data(), s.bytes.size());
     for (int i = 0; i < 8; ++i)
         head[checksumOffset + i] =
             static_cast<std::uint8_t>(sum >> (8 * i));
@@ -209,11 +211,33 @@ TraceWriter::writeTo(const std::string &path) const
     out.write(reinterpret_cast<const char *>(head.data()),
               static_cast<std::streamsize>(head.size()));
     for (const Stream &s : streams_)
-        out.write(reinterpret_cast<const char *>(s.bytes_.data()),
-                  static_cast<std::streamsize>(s.bytes_.size()));
+        out.write(reinterpret_cast<const char *>(s.bytes.data()),
+                  static_cast<std::streamsize>(s.bytes.size()));
     out.flush();
     if (!out)
         throw TraceError("error writing trace file '" + path + "'");
+}
+
+void
+captureTrace(const std::string &path, const std::string &workload,
+             unsigned cores, std::uint64_t seed,
+             std::uint64_t refsPerCore)
+{
+    TraceWriter writer(cores, workload, seed);
+    std::vector<MemRef> batch(4096);
+    for (unsigned c = 0; c < cores; ++c) {
+        const std::unique_ptr<TraceGen> gen =
+            makeWorkload(workload, c, seed);
+        for (std::uint64_t done = 0; done < refsPerCore;) {
+            const std::size_t n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(batch.size(),
+                                        refsPerCore - done));
+            gen->nextBatch(batch.data(), n);
+            writer.append(c, batch.data(), n);
+            done += n;
+        }
+    }
+    writer.writeTo(path);
 }
 
 std::shared_ptr<const TraceFile>

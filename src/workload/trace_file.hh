@@ -5,7 +5,8 @@
  * The synthetic generators calibrate paper *shapes*; traces let the
  * same sweep cells run against real application streams (gem5 /
  * DynamoRIO captures via tools/trace_convert, or any synthetic
- * generator's own output captured with --record-trace).
+ * workload's own draws captured by captureTrace(), which is what
+ * toleo_sim --record-trace runs).
  *
  * Format ("TOLEOTRC", version 1, little-endian throughout):
  *
@@ -78,47 +79,44 @@ class TraceError : public std::runtime_error
 class TraceWriter
 {
   public:
-    /** One core's encoded payload. */
-    class Stream
-    {
-      public:
-        /** Append @p n references. */
-        void append(const MemRef *refs, std::size_t n);
-
-      private:
-        friend class TraceWriter;
-        std::vector<std::uint8_t> bytes_;
-        std::uint64_t count_ = 0;
-        Addr prevAddr_ = 0;
-    };
-
     TraceWriter(unsigned streamCount, std::string workload,
                 std::uint64_t seed);
 
     /** Append @p n references to @p stream's payload. */
-    void
-    append(unsigned stream, const MemRef *refs, std::size_t n)
-    {
-        streams_[stream].append(refs, n);
-    }
-
-    /** Stream @p index, for a capture that appends to it alone. */
-    Stream &stream(unsigned index) { return streams_[index]; }
+    void append(unsigned stream, const MemRef *refs, std::size_t n);
 
     std::uint64_t recordCount(unsigned stream) const;
-    unsigned streamCount() const
-    {
-        return static_cast<unsigned>(streams_.size());
-    }
 
     /** Serialize header + table + payloads; TraceError on failure. */
     void writeTo(const std::string &path) const;
 
   private:
+    /** One core's encoded payload. */
+    struct Stream
+    {
+        std::vector<std::uint8_t> bytes;
+        std::uint64_t count = 0;
+        Addr prevAddr = 0;
+    };
+
     std::vector<Stream> streams_;
     std::string workload_;
     std::uint64_t seed_;
 };
+
+/**
+ * Capture a synthetic run's reference streams: @p refsPerCore draws
+ * from each core's makeWorkload(@p workload, core, @p seed), written
+ * to @p path as one stream per core.  These are the raw draws a
+ * System of @p cores cores makes over a warmup + measure window of
+ * @p refsPerCore: a generator's stream does not depend on how it is
+ * batched, and the arrival model only marks request ends, which a
+ * trace does not keep.  TraceError on a workload name the header
+ * cannot hold or an unwritable path.
+ */
+void captureTrace(const std::string &path, const std::string &workload,
+                  unsigned cores, std::uint64_t seed,
+                  std::uint64_t refsPerCore);
 
 /**
  * A loaded (mmap'd or buffered) trace file.  Immutable and
@@ -197,37 +195,6 @@ class TraceReplayGen : public TraceGen
     const std::uint8_t *end_;
     const std::uint8_t *cur_;
     Addr prevAddr_ = 0;
-};
-
-/**
- * Transparent capture wrapper: forwards every batch to the wrapped
- * generator and appends it to one TraceWriter stream, the only part
- * of the writer it can reach.  The wrapped generator's draw sequence
- * is untouched, so a recorded run's stats are byte-identical to an
- * unrecorded one.  The writer keeps addresses, stores and gaps but
- * not request ends, so a capture is the same under every arrival
- * model.
- */
-class RecordingTraceGen : public TraceGen
-{
-  public:
-    RecordingTraceGen(std::unique_ptr<TraceGen> inner,
-                      TraceWriter::Stream &stream)
-        : TraceGen(inner->info()), inner_(std::move(inner)),
-          stream_(stream)
-    {
-    }
-
-    void
-    nextBatch(MemRef *out, std::size_t n) override
-    {
-        inner_->nextBatch(out, n);
-        stream_.append(out, n);
-    }
-
-  private:
-    std::unique_ptr<TraceGen> inner_;
-    TraceWriter::Stream &stream_;
 };
 
 } // namespace toleo

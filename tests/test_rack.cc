@@ -350,10 +350,6 @@ TEST(Rack, InvalidConfigsThrow)
         {"bsw", EngineKind::Toleo}};
     SweepOptions opts = rackWindow(0);
     EXPECT_THROW(runRackSweep(cell, opts), std::invalid_argument);
-
-    opts = rackWindow(2);
-    opts.recordTracePath = "unused.trc";
-    EXPECT_THROW(runRackSweep(cell, opts), TraceError);
 }
 
 namespace {

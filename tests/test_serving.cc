@@ -12,9 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -400,6 +398,14 @@ TEST(ServingConfig, RejectsNonPositiveRate)
     EXPECT_THROW(System{cfg}, std::invalid_argument);
     cfg.arrival.ratePerSec = -5.0;
     EXPECT_THROW(System{cfg}, std::invalid_argument);
+    // Positive and finite, yet the per-core mean interarrival or the
+    // lognormal variance overflows: every latency would clamp.
+    for (const char *spec :
+         {"poisson:1e-300", "burst:1e-300,1", "burst:1e6,1e200"}) {
+        std::string err;
+        ASSERT_TRUE(parseArrivalSpec(spec, cfg.arrival, err)) << err;
+        EXPECT_THROW(System{cfg}, std::invalid_argument) << spec;
+    }
 }
 
 TEST(ServingConfig, RejectsBadSloAndRequestRefs)
@@ -468,19 +474,21 @@ TEST(ServingTrace, RecordClosedReplayOpenRoundTrip)
         ::testing::TempDir() + "serving_capture.trc";
     const SweepCell cell{"kvs", EngineKind::Toleo};
 
-    // Capture the request-shaped stream under the closed model.
-    SweepOptions rec = servingWindow();
-    rec.recordTracePath = path;
-    const Json recorded = statsToJson(runSweepCell(cell, rec));
+    // Capture the request-shaped stream's raw draws, and run the
+    // closed-loop cell they come from.
+    const SweepOptions closed = servingWindow();
+    captureTrace(path, "kvs", closed.cores, closed.seed,
+                 closed.warmupRefs + closed.measureRefs);
+    const Json live = statsToJson(runSweepCell(cell, closed));
 
     // Replay it open-loop: the trace readers are not request-shaped,
     // so the fixed requestRefs grouping segments the stream; all
-    // non-serving stats still match the capture run byte-for-byte.
+    // non-serving stats still match the closed run byte-for-byte.
     SweepOptions rep = servingWindow("poisson:1e6");
     rep.trace = TraceFile::open(path);
     const Json replayed = statsToJson(runSweepCell(cell, rep));
     ASSERT_TRUE(replayed.has("serving"));
-    EXPECT_EQ(recorded.dump(2), dropKey(replayed, "serving").dump(2));
+    EXPECT_EQ(live.dump(2), dropKey(replayed, "serving").dump(2));
 
     // And the replay itself is deterministic.
     const Json again = statsToJson(runSweepCell(cell, rep));
@@ -491,39 +499,34 @@ TEST(ServingTrace, RecordClosedReplayOpenRoundTrip)
 
 TEST(ServingTrace, RecordingComposesWithOpenArrival)
 {
-    // The capture wraps the request layer, so it holds the raw draws:
-    // recording an open-loop cell yields the closed capture byte for
-    // byte, and the recorded open run reports what the unrecorded one
-    // does.
-    const std::string closedPath =
-        ::testing::TempDir() + "serving_closed.trc";
-    const std::string openPath =
+    // A capture holds the raw draws under any arrival model: what an
+    // open-loop System draws (each generator wrapped in a
+    // RequestSource, one batch at a time) decodes from the capture
+    // reference for reference, request ends aside.
+    const std::string path =
         ::testing::TempDir() + "serving_open.trc";
-    const SweepCell cell{"kvs", EngineKind::Toleo};
+    const SweepOptions open = servingWindow("poisson:1e6");
+    const std::uint64_t perCore = open.warmupRefs + open.measureRefs;
+    captureTrace(path, "kvs", open.cores, open.seed, perCore);
+    const auto trace = TraceFile::open(path);
 
-    SweepOptions closed = servingWindow();
-    closed.recordTracePath = closedPath;
-    runSweepCell(cell, closed);
-
-    SweepOptions open = servingWindow("poisson:1e6");
-    const Json plain = statsToJson(runSweepCell(cell, open));
-    open.recordTracePath = openPath;
-    const Json recorded = statsToJson(runSweepCell(cell, open));
-    ASSERT_TRUE(recorded.has("serving"));
-    EXPECT_GT(recorded.get("serving")->get("requests")->asUint(), 0u);
-    EXPECT_EQ(plain.dump(2), recorded.dump(2));
-
-    const auto bytes = [](const std::string &path) {
-        std::ifstream in(path, std::ios::binary);
-        EXPECT_TRUE(in.good()) << path;
-        std::ostringstream text;
-        text << in.rdbuf();
-        return text.str();
-    };
-    const std::string want = bytes(closedPath);
-    EXPECT_FALSE(want.empty());
-    EXPECT_EQ(want, bytes(openPath));
-
-    std::remove(closedPath.c_str());
-    std::remove(openPath.c_str());
+    constexpr std::size_t batch = 256;
+    std::vector<MemRef> drawn(batch), replayed(batch);
+    for (unsigned c = 0; c < open.cores; ++c) {
+        RequestSource live(makeWorkload("kvs", c, open.seed),
+                           open.arrival.requestRefs);
+        TraceReplayGen replay(workloadInfo("kvs"), trace, c);
+        for (std::uint64_t done = 0; done < perCore; done += batch) {
+            const std::size_t n =
+                std::min<std::uint64_t>(batch, perCore - done);
+            live.nextBatch(drawn.data(), n);
+            replay.nextBatch(replayed.data(), n);
+            for (std::size_t k = 0; k < n; ++k) {
+                ASSERT_EQ(drawn[k].addr, replayed[k].addr) << c;
+                ASSERT_EQ(drawn[k].isWrite, replayed[k].isWrite) << c;
+                ASSERT_EQ(drawn[k].instGap, replayed[k].instGap) << c;
+            }
+        }
+    }
+    std::remove(path.c_str());
 }

@@ -14,6 +14,8 @@
 #include <sstream>
 #include <string>
 
+#include <sys/wait.h>
+
 #include <gtest/gtest.h>
 
 #include "common/json.hh"
@@ -267,7 +269,9 @@ namespace {
 
 /**
  * Run the toleo_sim binary with @p args.  @return its stderr when it
- * exits non-zero, or "<exit 0>" when it succeeds.
+ * fails the way every CLI error does, with exit status 1; otherwise
+ * "<exit N>" for any other status (0 on success) or "<no exit>" for
+ * an abort or other signal.
  */
 std::string
 cliError(const std::string &args)
@@ -284,7 +288,11 @@ cliError(const std::string &args)
     std::ostringstream text;
     text << in.rdbuf();
     std::remove(errPath.c_str());
-    return rc == 0 ? "<exit 0>" : text.str();
+    if (!WIFEXITED(rc))
+        return "<no exit>";
+    if (WEXITSTATUS(rc) != 1)
+        return "<exit " + std::to_string(WEXITSTATUS(rc)) + ">";
+    return text.str();
 }
 
 } // namespace
@@ -385,23 +393,19 @@ TEST(ToleoSimBinary, OpenLoopServingCell)
 
 TEST(ToleoSimBinary, RecordTraceComposesWithOpenArrival)
 {
-    // --record-trace captures the raw draws under any arrival model:
-    // an open-loop capture runs and matches the closed one byte for
-    // byte.
+    // --record-trace captures the raw draws, which neither the
+    // arrival model nor the engine list changes: an open-loop capture
+    // matches the closed one byte for byte, and so does a capture
+    // taken beside every engine and one taken beside Toleo alone.
     const std::string dir = ::testing::TempDir();
-    const auto record = [&](const char *arrival, const std::string &trc) {
+    const auto record = [&](const std::string &args,
+                            const std::string &trc) {
         const std::string cmd =
-            std::string("\"") + TOLEO_SIM_BIN +
-            "\" --workloads kvs --engines Toleo --cores 2"
-            " --warmup 2000 --measure 4000 --arrival " + arrival +
+            std::string("\"") + TOLEO_SIM_BIN + "\" " + args +
             " --record-trace \"" + trc + "\" --quiet --out \"" + dir +
             "/toleo_sim_record.json\"";
         return std::system(cmd.c_str());
     };
-    const std::string open = dir + "/toleo_sim_open.trc";
-    const std::string closed = dir + "/toleo_sim_closed.trc";
-    ASSERT_EQ(record("poisson:1e6", open), 0);
-    ASSERT_EQ(record("closed", closed), 0);
     const auto bytes = [](const std::string &path) {
         std::ifstream in(path, std::ios::binary);
         EXPECT_TRUE(in.good()) << path;
@@ -409,12 +413,72 @@ TEST(ToleoSimBinary, RecordTraceComposesWithOpenArrival)
         text << in.rdbuf();
         return text.str();
     };
+    const std::string kvs = "--workloads kvs --engines Toleo --cores 2"
+                            " --warmup 2000 --measure 4000 --arrival ";
+    const std::string open = dir + "/toleo_sim_open.trc";
+    const std::string closed = dir + "/toleo_sim_closed.trc";
+    ASSERT_EQ(record(kvs + "poisson:1e6", open), 0);
+    ASSERT_EQ(record(kvs + "closed", closed), 0);
     const std::string want = bytes(closed);
     EXPECT_FALSE(want.empty());
     EXPECT_EQ(bytes(open), want);
-    std::remove(open.c_str());
-    std::remove(closed.c_str());
+
+    const std::string bsw = "--workloads bsw --cores 2 --warmup 2000"
+                            " --measure 6000 --seed 42 --engines ";
+    const std::string one = dir + "/toleo_sim_one_engine.trc";
+    const std::string all = dir + "/toleo_sim_all_engines.trc";
+    ASSERT_EQ(record(bsw + "Toleo", one), 0);
+    ASSERT_EQ(record(bsw + "all", all), 0);
+    EXPECT_FALSE(bytes(one).empty());
+    EXPECT_EQ(bytes(all), bytes(one));
+
+    for (const std::string &trc : {open, closed, one, all})
+        std::remove(trc.c_str());
     std::remove((dir + "/toleo_sim_record.json").c_str());
+}
+
+namespace {
+
+/**
+ * A capture holds one workload's synthetic streams on one node.  The
+ * rule is checked once, at the end of toleo_sim's parseArgs, so
+ * --record-trace with @p args must exit 1 with the rule's error
+ * naming @p conflict, before anything is drawn or simulated.
+ */
+void
+expectCaptureRefused(const std::string &args, const std::string &conflict)
+{
+    const std::string trc =
+        ::testing::TempDir() + "/toleo_sim_rejected.trc";
+    std::remove(trc.c_str());
+    const std::string err =
+        cliError("--engines Toleo --cores 2 --warmup 500 --measure 1500"
+                 " --record-trace \"" + trc + "\" " + args);
+    EXPECT_NE(err.find("--record-trace captures one workload's "
+                       "synthetic streams on one node; it cannot be "
+                       "combined with " + conflict),
+              std::string::npos)
+        << args << ": " << err;
+    EXPECT_FALSE(std::ifstream(trc).good()) << args;
+}
+
+} // namespace
+
+TEST(TraceCapture, ReplayAndRecordAtOnceThrows)
+{
+    // A replay reads a capture's streams instead of drawing its own,
+    // so there is nothing for a second capture to hold.
+    expectCaptureRefused("--workloads bsw --trace unused.trc", "--trace");
+}
+
+TEST(TraceCapture, RecordingAMultiCellSweepThrows)
+{
+    // One file holds one workload's streams on one node: a second
+    // workload, or a rack's second node (seeded seed+1), would need a
+    // second file.  A second engine draws the same streams, so
+    // --engines all is fine (RecordTraceComposesWithOpenArrival).
+    expectCaptureRefused("--workloads bsw,dbg", "more than one workload");
+    expectCaptureRefused("--workloads bsw --rack 2", "--rack");
 }
 
 TEST(ToleoSimBinary, ServingGuardsFailFast)
@@ -430,6 +494,26 @@ TEST(ToleoSimBinary, ServingGuardsFailFast)
     EXPECT_TRUE(fails("--arrival poisson:0"));
     EXPECT_TRUE(fails("--arrival poisson:inf"));
     EXPECT_TRUE(fails("--arrival burst:1e6"));
+    // Specs that parse but whose per-core mean interarrival or
+    // lognormal variance is not finite used to run with every latency
+    // at the histogram's clamp; they fail by field name, exit 1.
+    struct Case
+    {
+        const char *spec;
+        const char *field;
+    };
+    for (const Case &c :
+         {Case{"poisson:1e-300", "arrival.ratePerSec"},
+          Case{"burst:1e-300,1", "arrival.ratePerSec"},
+          Case{"burst:1e6,1e200", "arrival.cv"}}) {
+        const std::string err =
+            cliError(std::string("--workloads kvs --engines Toleo"
+                                 " --cores 2 --warmup 500 --measure"
+                                 " 1500 --arrival ") +
+                     c.spec);
+        EXPECT_NE(err.find(c.field), std::string::npos)
+            << c.spec << ": " << err;
+    }
     EXPECT_TRUE(fails("--slo-us 0"));
     EXPECT_TRUE(fails("--slo-us -3"));
     // The SLO grades open-loop requests only; under the closed model

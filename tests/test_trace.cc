@@ -1,10 +1,10 @@
 /**
  * @file
  * Trace subsystem tests: binary round-trip through the TOLEOTRC
- * writer/reader, looped-replay semantics, transparency of capture
- * mode (a recorded run and its replay must both match the plain
- * synthetic run byte-for-byte in statsToJson), corrupt/truncated
- * file error paths, the text importer, and the committed fixture.
+ * writer/reader, looped-replay semantics, capture fidelity (a
+ * captureTrace replay must match the plain synthetic run
+ * byte-for-byte in statsToJson), corrupt/truncated file error paths,
+ * the text importer, and the committed fixture.
  */
 
 #include <algorithm>
@@ -14,6 +14,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
@@ -187,6 +189,15 @@ tinyWindow()
     return opts;
 }
 
+/** Capture @p opts's window of @p workload to @p path. */
+void
+captureWindow(const std::string &path, const std::string &workload,
+              const SweepOptions &opts)
+{
+    captureTrace(path, workload, opts.cores, opts.seed,
+                 opts.warmupRefs + opts.measureRefs);
+}
+
 } // namespace
 
 TEST(TraceCapture, RecordedAndReplayedRunsMatchLiveByteForByte)
@@ -198,14 +209,8 @@ TEST(TraceCapture, RecordedAndReplayedRunsMatchLiveByteForByte)
     const std::string live =
         statsToJson(runSweepCell(cell, tinyWindow())).dump(2);
 
-    // Same run with capture enabled: recording must be transparent.
-    SweepOptions rec = tinyWindow();
-    rec.recordTracePath = path;
-    const std::string recorded =
-        statsToJson(runSweepCell(cell, rec)).dump(2);
-    EXPECT_EQ(live, recorded);
-
     // The capture holds warmup + measurement for every core.
+    captureWindow(path, "bsw", tinyWindow());
     const auto trace = TraceFile::open(path);
     EXPECT_EQ(trace->workload(), "bsw");
     ASSERT_EQ(trace->streamCount(), 2u);
@@ -221,15 +226,18 @@ TEST(TraceCapture, RecordedAndReplayedRunsMatchLiveByteForByte)
         statsToJson(runSweepCell(cell, rep)).dump(2);
     EXPECT_EQ(live, replayed);
 
+    // A path that cannot be written fails by TraceError.
+    EXPECT_THROW(captureWindow(tempPath("no_such_dir/trace.trc"), "bsw",
+                               tinyWindow()),
+                 TraceError);
+
     std::remove(path.c_str());
 }
 
 TEST(TraceCapture, ReplayUnderADifferentEngineStillRuns)
 {
     const std::string path = tempPath("trace_engines.trc");
-    SweepOptions rec = tinyWindow();
-    rec.recordTracePath = path;
-    runSweepCell({"bsw", EngineKind::NoProtect}, rec);
+    captureWindow(path, "bsw", tinyWindow());
 
     // The same capture drives any engine in the grid (the CI smoke
     // cell relies on this), with a shorter and a longer window than
@@ -250,34 +258,10 @@ TEST(TraceErrors, OversizedWorkloadNameIsRejected)
     // truncation would round-trip a different name.
     EXPECT_THROW(TraceWriter(1, std::string(32, 'x'), 0), TraceError);
     EXPECT_NO_THROW(TraceWriter(1, std::string(31, 'x'), 0));
-}
-
-TEST(TraceCapture, ReplayAndRecordAtOnceThrows)
-{
-    const std::string path = tempPath("trace_conflict_in.trc");
-    const auto refs = sampleRefs(1);
-    TraceWriter writer(1, "bsw", 42);
-    writer.append(0, refs.data(), refs.size());
-    writer.writeTo(path);
-
-    SweepOptions opts = tinyWindow();
-    opts.trace = TraceFile::open(path);
-    opts.recordTracePath = tempPath("trace_conflict.trc");
-    EXPECT_THROW(runSweepCell({"bsw", EngineKind::Toleo}, opts),
+    // A capture checks the name before it draws anything.
+    EXPECT_THROW(captureTrace(tempPath("trace_long_name.trc"),
+                              std::string(32, 'x'), 1, 0, 1),
                  TraceError);
-    std::remove(path.c_str());
-}
-
-TEST(TraceCapture, RecordingAMultiCellSweepThrows)
-{
-    // One capture file per run(): a multi-cell grid would have every
-    // cell rewrite the same path, so runSweep itself (not just the
-    // toleo_sim CLI) must refuse.
-    SweepOptions rec = tinyWindow();
-    rec.recordTracePath = tempPath("trace_multicell.trc");
-    const std::vector<SweepCell> grid = {
-        {"bsw", EngineKind::NoProtect}, {"bsw", EngineKind::Toleo}};
-    EXPECT_THROW(runSweep(grid, rec), TraceError);
 }
 
 TEST(TraceErrors, LoadFailuresThrowTraceError)
@@ -439,6 +423,14 @@ TEST(TraceFixture, CommittedFixtureLoadsAndReplays)
         runSweepCell({"bsw", EngineKind::Toleo}, opts);
     EXPECT_GT(stats.ipc, 0.0);
     EXPECT_GT(stats.llcMpki, 0.0);
+
+    // The fixture is a capture of bsw on 2 cores at seed 42 over an
+    // 8000-reference window, and captureTrace still writes it byte
+    // for byte.
+    const std::string again = tempPath("trace_fixture_again.trc");
+    captureTrace(again, "bsw", 2, 42, 8000);
+    EXPECT_EQ(readFile(again), readFile(TOLEO_TRACE_FIXTURE));
+    std::remove(again.c_str());
 }
 
 #endif // TOLEO_TRACE_FIXTURE
@@ -498,6 +490,21 @@ TEST(TraceConvert, TextImportRoundTrip)
             txt + "\" \"" + trc + "\" > /dev/null 2>&1";
         EXPECT_NE(std::system(bad.c_str()), 0) << junk;
     }
+
+    // A workload name the header cannot hold fails by name, with
+    // exit status 1: an uncaught TraceError would abort instead.
+    writeFile(txt, "0x1000,R,1\n");
+    const std::string err = tempPath("trace_convert.err");
+    const std::string longName =
+        std::string("\"") + TOLEO_TRACE_CONVERT_BIN + "\" --workload " +
+        std::string(32, 'x') + " \"" + txt + "\" \"" + trc +
+        "\" > /dev/null 2> \"" + err + "\"";
+    const int rc = std::system(longName.c_str());
+    ASSERT_TRUE(WIFEXITED(rc)) << rc;
+    EXPECT_EQ(WEXITSTATUS(rc), 1);
+    EXPECT_NE(readFile(err).find("workload name"), std::string::npos)
+        << readFile(err);
+    std::remove(err.c_str());
 
     std::remove(txt.c_str());
     std::remove(trc.c_str());

@@ -156,66 +156,6 @@ TEST(TripAnalysis, RssNeverBelowTouchedPages)
     }
 }
 
-TEST(TripProfileCache, DuplicateWorkloadsRunTheAnalysisOnce)
-{
-    TripProfileCache cache;
-    TripAnalysisConfig cfg;
-    cfg.workload = "bsw";
-    cfg.refsPerCore = 50000;
-
-    const TripAnalysisResult &first = cache.get(cfg);
-    const TripAnalysisResult &again = cache.get(cfg);
-    // Same entry, not merely equal numbers: duplicate tenants must
-    // not re-run millions of simulated references.
-    EXPECT_EQ(&first, &again);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 1u);
-
-    // The memoized record matches an uncached run exactly.
-    const TripAnalysisResult fresh = runTripAnalysis(cfg);
-    EXPECT_EQ(first.usage.rssPages, fresh.usage.rssPages);
-    EXPECT_EQ(first.updates, fresh.updates);
-    EXPECT_EQ(first.usage.unevenPages, fresh.usage.unevenPages);
-    EXPECT_DOUBLE_EQ(first.usage.avgEntryBytesPerPage,
-                     fresh.usage.avgEntryBytesPerPage);
-}
-
-TEST(TripProfileCache, EveryConfigFieldKeysTheCache)
-{
-    TripProfileCache cache;
-    TripAnalysisConfig base;
-    base.workload = "bsw";
-    base.refsPerCore = 20000;
-    cache.get(base);
-
-    // Each mutation must miss: aliasing two different configs would
-    // silently return the wrong profile.
-    std::vector<TripAnalysisConfig> variants;
-    variants.push_back(base);
-    variants.back().workload = "chain";
-    variants.push_back(base);
-    variants.back().cores += 1;
-    variants.push_back(base);
-    variants.back().seed += 1;
-    variants.push_back(base);
-    variants.back().cacheBytes *= 2;
-    variants.push_back(base);
-    variants.back().cacheAssoc *= 2;
-    variants.push_back(base);
-    variants.back().refsPerCore += 1;
-    variants.push_back(base);
-    variants.back().timelinePoints += 1;
-    variants.push_back(base);
-    variants.back().trip.resetLog2 -= 1;
-    variants.push_back(base);
-    variants.back().trip.seed += 1;
-
-    for (const auto &cfg : variants)
-        cache.get(cfg);
-    EXPECT_EQ(cache.misses(), 1u + variants.size());
-    EXPECT_EQ(cache.hits(), 0u);
-}
-
 #ifdef TOLEO_TRIP_GOLDEN
 
 TEST(TripGolden, PaperWorkloadsMatchCommittedRecord)

@@ -41,7 +41,7 @@ namespace {
 
 /**
  * One validated run: parseArgs has already checked every cross-flag
- * rule and resolved --jobs, so main only loads, probes, runs and
+ * rule and resolved --jobs, so main only captures, loads, runs and
  * emits.
  */
 struct RunSpec
@@ -51,6 +51,7 @@ struct RunSpec
     std::string format = "json";
     std::string outPath; ///< empty = stdout
     std::string tracePath; ///< --trace; loaded into sweep.trace
+    std::string capturePath; ///< --record-trace; see captureTrace
     bool progress = true;
 
     bool rack() const { return sweep.rackNodes > 1; }
@@ -124,10 +125,12 @@ usage(const char *argv0)
         "                    from a recorded trace instead of the\n"
         "                    synthetic generators (looped when the\n"
         "                    window outruns the capture)\n"
-        "  --record-trace F  capture the generator streams of a\n"
-        "                    single (workload x engine) cell to F,\n"
-        "                    under any --arrival; replayable with\n"
-        "                    --trace\n"
+        "  --record-trace F  before the sweep, write the workload's\n"
+        "                    synthetic streams (warmup + measure\n"
+        "                    references per core) to F, replayable\n"
+        "                    with --trace; needs one workload on one\n"
+        "                    node, and works with any --engines and\n"
+        "                    --arrival\n"
         "  --quiet           suppress per-cell progress on stderr\n"
         "  --list            list known workloads and engines, then exit\n"
         "  --help            this message\n",
@@ -259,7 +262,7 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(arg, "--trace")) {
             spec.tracePath = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--record-trace")) {
-            sweep.recordTracePath = nextArg(argc, argv, i);
+            spec.capturePath = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--quiet")) {
             spec.progress = false;
         } else if (!std::strcmp(arg, "--list")) {
@@ -283,8 +286,9 @@ parseArgs(int argc, char **argv)
             fatal("unknown option '%s'", arg);
         }
     }
-    spec.cells = makeSweepGrid(parseWorkloadList(workloads),
-                               parseEngineList(engines));
+    const std::vector<std::string> workloadList =
+        parseWorkloadList(workloads);
+    spec.cells = makeSweepGrid(workloadList, parseEngineList(engines));
 
     // The rack knobs mean nothing for a single node; a silent no-op
     // would report single-node numbers as if they were the rack's.
@@ -310,23 +314,6 @@ parseArgs(int argc, char **argv)
                   "Toleo link of a %u-core node; even an uncontended "
                   "node would stall (pass 0 for auto)",
                   sweep.rackServiceGBps, link, sweep.cores);
-    }
-
-    // A capture is one System's raw generator streams.  Rack nodes or
-    // concurrent cells would clobber one file (and with a fixed seed
-    // every cell of a workload draws the same stream anyway).
-    if (!sweep.recordTracePath.empty()) {
-        const char *conflict =
-            rack ? "--rack"
-            : !spec.tracePath.empty() ? "--trace"
-            : spec.cells.size() != 1
-                ? "more than one cell (pick one workload and one "
-                  "engine)"
-                : nullptr;
-        if (conflict)
-            fatal("--record-trace captures a single cell; it cannot be "
-                  "combined with %s",
-                  conflict);
     }
 
     // The SLO only grades open-loop requests; under the closed model
@@ -359,6 +346,20 @@ parseArgs(int argc, char **argv)
               "one, let --jobs auto-detect (omit it or pass 0), or "
               "pass --allow-oversubscribe",
               sweep.jobs, sweep.rackThreads, sweep.intraThreads, hw);
+    }
+
+    // A capture holds one workload's synthetic streams on one node;
+    // every engine of that workload draws the same streams.
+    if (!spec.capturePath.empty()) {
+        const char *conflict =
+            rack ? "--rack"
+            : !spec.tracePath.empty() ? "--trace"
+            : workloadList.size() != 1 ? "more than one workload"
+                                       : nullptr;
+        if (conflict)
+            fatal("--record-trace captures one workload's synthetic "
+                  "streams on one node; it cannot be combined with %s",
+                  conflict);
     }
     return spec;
 }
@@ -453,18 +454,16 @@ main(int argc, char **argv)
     SweepOptions &sweep = spec.sweep;
     const bool rack = spec.rack();
 
-    if (!sweep.recordTracePath.empty()) {
-        // Probe the output path now so a typo fails in milliseconds,
-        // not after the whole capture window has been simulated.
-        // Append mode: a writability check must not truncate an
-        // existing capture that a failed run would then have
-        // destroyed (the writer truncates when it flushes at end of
-        // run).
-        std::ofstream probe(sweep.recordTracePath,
-                            std::ios::binary | std::ios::app);
-        if (!probe)
-            fatal("cannot open trace file '%s' for writing",
-                  sweep.recordTracePath.c_str());
+    if (!spec.capturePath.empty()) {
+        // The draws alone make the capture, so it is written before
+        // the sweep: a bad path fails before any simulation.
+        try {
+            captureTrace(spec.capturePath, spec.cells[0].workload,
+                         sweep.cores, sweep.seed,
+                         sweep.warmupRefs + sweep.measureRefs);
+        } catch (const TraceError &e) {
+            fatal("%s", e.what());
+        }
     }
     if (!spec.tracePath.empty()) {
         // Open (and fully validate) the trace up front so a bad path

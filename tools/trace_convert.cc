@@ -148,7 +148,13 @@ main(int argc, char **argv)
     if (!in)
         fatal("cannot open input trace '%s'", inPath);
 
-    TraceWriter writer(streams, workload, seed);
+    TraceWriter writer = [&] {
+        try {
+            return TraceWriter(streams, workload, seed);
+        } catch (const TraceError &e) {
+            fatal("%s", e.what());
+        }
+    }();
     std::string line;
     std::uint64_t lineno = 0;
     std::uint64_t records = 0;
