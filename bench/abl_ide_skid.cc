@@ -24,7 +24,7 @@ main()
     std::printf("%-12s %14s %14s %12s\n", "bench", "skid lat(ns)",
                 "no-skid lat", "exec delta");
     for (const char *wl : {"bsw", "pr", "redis", "memcached"}) {
-        SystemConfig skid = benchConfig(wl, EngineKind::Toleo, 8);
+        SystemConfig skid = makeScaledConfig(wl, EngineKind::Toleo, 8);
         skid.mem.ideSkidMode = true;
         SystemConfig strict = skid;
         strict.mem.ideSkidMode = false;

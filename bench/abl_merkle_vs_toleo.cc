@@ -30,7 +30,7 @@ main()
     std::printf("%-14s %8s %14s %12s\n", "protected", "levels",
                 "extra acc/rd", "overhead");
     for (auto size : sizes) {
-        SystemConfig cfg = benchConfig("bfs", EngineKind::Merkle, 8);
+        SystemConfig cfg = makeScaledConfig("bfs", EngineKind::Merkle, 8);
         cfg.merkle.protectedBytes = size;
         System sys(cfg);
         const auto st = sys.run(20000, 40000);

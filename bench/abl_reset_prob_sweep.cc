@@ -26,7 +26,7 @@ main()
                 "reenc B/inst", "P(exhaust 2^56)");
 
     for (unsigned log2p : {12u, 16u, 20u, 24u, 28u}) {
-        SystemConfig cfg = benchConfig("bsw", EngineKind::Toleo, 8);
+        SystemConfig cfg = makeScaledConfig("bsw", EngineKind::Toleo, 8);
         cfg.device.trip.resetLog2 = log2p;
         System sys(cfg);
         const auto st = sys.run(20000, 60000);

@@ -18,9 +18,9 @@ SimStats
 runWith(const std::string &wl, unsigned tlb_entries,
         std::uint64_t overflow_bytes)
 {
-    SystemConfig cfg = benchConfig(wl, EngineKind::Toleo, 8);
-    cfg.toleo.stealth.tlbEntries = tlb_entries;
-    cfg.toleo.stealth.overflowBytes = overflow_bytes;
+    SystemConfig cfg = makeScaledConfig(wl, EngineKind::Toleo, 8);
+    cfg.stealth.tlbEntries = tlb_entries;
+    cfg.stealth.overflowBytes = overflow_bytes;
     System sys(cfg);
     return sys.run(20000, 40000);
 }

@@ -41,13 +41,6 @@ struct BenchWindow
     }
 };
 
-inline SystemConfig
-benchConfig(const std::string &workload, EngineKind kind,
-            unsigned cores)
-{
-    return makeScaledConfig(workload, kind, cores);
-}
-
 /** Run one cell with the shared sweep API (see sim/sweep.hh). */
 inline SimStats
 runExperiment(const std::string &workload, EngineKind kind,

@@ -20,8 +20,7 @@ main()
                                 EngineKind::CI, EngineKind::Toleo,
                                 EngineKind::InvisiMem};
 
-    MemTopologyConfig mem;
-    std::printf("zero-load local DRAM: %.0f ns\n\n", mem.ddrLatencyNs);
+    std::printf("zero-load local DRAM: %.0f ns\n\n", ddrLatencyNs);
 
     std::printf("%-12s %10s %10s %10s %10s %10s\n", "bench",
                 "NoProtect", "C", "CI", "CI+Toleo", "InvisiMem");

@@ -20,9 +20,9 @@ main()
     StealthCacheConfig sc;
     StealthCache cache(sc);
     std::printf("L2 TLB stealth extension: %u entries x %u B = %llu "
-                "KB\n", sc.tlbEntries, sc.tlbExtBytes,
+                "KB\n", sc.tlbEntries, StealthCache::tlbExtBytes,
                 static_cast<unsigned long long>(
-                    sc.tlbEntries * sc.tlbExtBytes / KiB));
+                    sc.tlbEntries * StealthCache::tlbExtBytes / KiB));
     std::printf("stealth overflow buffer:  %llu KB (%.1f%% of the "
                 "1 MB MAC cache)\n",
                 static_cast<unsigned long long>(sc.overflowBytes / KiB),

@@ -40,7 +40,8 @@ main()
         std::make_unique<MerkleTreeEngine>(topo, client_sgx));
     engines.push_back(std::make_unique<CiEngine>(topo, CiConfig{}));
     engines.push_back(
-        std::make_unique<ToleoEngine>(topo, dev, ToleoEngineConfig{}));
+        std::make_unique<ToleoEngine>(topo, dev, CiConfig{},
+                                      StealthCacheConfig{}));
 
     const char *labels[] = {"Client SGX (Merkle, 128MB EPC)",
                             "Scalable SGX (CI)", "Toleo"};

@@ -19,7 +19,12 @@
 
 namespace toleo {
 
-/** Configuration of the data hierarchy. */
+/**
+ * Configuration of the data hierarchy: geometry only.  Table 3's
+ * L1/L2/L3 hit latencies are printed by printConfig but not charged
+ * by the timing model: cores retire at the base IPC, and only LLC
+ * misses stall.
+ */
 struct CacheHierarchyConfig
 {
     unsigned numCores = 32;
@@ -30,9 +35,6 @@ struct CacheHierarchyConfig
     unsigned l2Assoc = 16;
     std::uint64_t l3SliceBytes = 16 * MiB;
     unsigned l3Assoc = 16;
-    Cycles l1Latency = 4;
-    Cycles l2Latency = 14;
-    Cycles l3Latency = 49;
 };
 
 /**

@@ -58,7 +58,6 @@ class LatencyHistogram
     /** Exact nearest-rank percentile, p in [0, 1]; 0 when empty. */
     double percentileNs(double p) const;
 
-    std::uint64_t bucketCount(unsigned b) const { return buckets_.at(b); }
     /** Inclusive lower bound of a bucket, in nanoseconds. */
     static double bucketLowerNs(unsigned b);
 

@@ -13,13 +13,10 @@
 
 namespace toleo {
 
-struct CryptoTiming
-{
-    /** Latency of one AES operation through the pipelined engine. */
-    Cycles aesLatency = 40;
-    /** MAC computation latency (one extra AES pass over the block). */
-    Cycles macLatency = 40;
-};
+/** Latency of one AES operation through the pipelined engine. */
+constexpr Cycles aesLatency = 40;
+/** MAC computation latency (one extra AES pass over the block). */
+constexpr Cycles macLatency = 40;
 
 } // namespace toleo
 

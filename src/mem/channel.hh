@@ -42,9 +42,6 @@ class Channel
      */
     double latencyNs() const { return baseLatencyNs_ + queueDelayNs_; }
 
-    double baseLatencyNs() const { return baseLatencyNs_; }
-    double bandwidthGBps() const { return bandwidthGBps_; }
-
     /**
      * Close the current epoch of given wall-clock length and update
      * the queueing delay used in the next epoch.

@@ -25,15 +25,15 @@ hashPage(PageNum page)
 MemTopology::MemTopology(const MemTopologyConfig &cfg)
     : cfg_(cfg),
       cxlPool_("cxl_pool", cfg.cxlPoolBandwidthGBps,
-               cfg.ddrLatencyNs + cfg.cxlPoolLatencyNs),
+               ddrLatencyNs + cxlPoolLatencyNs),
       toleoLink_("toleo_link", cfg.toleoLinkBandwidthGBps,
-                 cfg.toleoLinkLatencyNs + cfg.toleoDramLatencyNs)
+                 toleoLinkLatencyNs + toleoDramLatencyNs)
 {
     if (cfg.ddrChannels == 0)
         panic("MemTopology: at least one DDR channel required");
     for (unsigned c = 0; c < cfg.ddrChannels; ++c)
         ddr_.emplace_back("ddr" + std::to_string(c),
-                          cfg.ddrBandwidthGBps, cfg.ddrLatencyNs);
+                          cfg.ddrBandwidthGBps, ddrLatencyNs);
 
     const double ddr_bw = cfg.ddrChannels * cfg.ddrBandwidthGBps;
     poolFraction_ =
@@ -88,7 +88,7 @@ MemTopology::toleoLatencyNs() const
 {
     double lat = toleoLink_.latencyNs();
     if (!cfg_.ideSkidMode)
-        lat += cfg_.ideNonSkidPenaltyNs;
+        lat += ideNonSkidPenaltyNs;
     return lat;
 }
 

@@ -28,23 +28,25 @@ namespace toleo {
 /** Where a physical page lives. */
 enum class MemTarget { LocalDram, CxlPool };
 
+constexpr double ddrLatencyNs = 60.0;       ///< zero-load DRAM access
+constexpr double cxlPoolLatencyNs = 95.0;   ///< link+retimer, added to DRAM
+constexpr double toleoLinkLatencyNs = 95.0;
+constexpr double toleoDramLatencyNs = 15.0; ///< HMC2 access behind the link
+/** Toleo-link latency IDE adds outside skid mode (ideSkidMode). */
+constexpr double ideNonSkidPenaltyNs = 25.0;
+
 struct MemTopologyConfig
 {
     unsigned ddrChannels = 3;
     double ddrBandwidthGBps = 25.6;   ///< per DDR4-3200 channel
-    double ddrLatencyNs = 60.0;       ///< zero-load DRAM access
     double cxlPoolBandwidthGBps = 12.7;
-    double cxlPoolLatencyNs = 95.0;   ///< link+retimer, added to DRAM
     double toleoLinkBandwidthGBps = 3.32;
-    double toleoLinkLatencyNs = 95.0;
-    double toleoDramLatencyNs = 15.0; ///< HMC2 access behind the link
     /**
      * CXL IDE in skid mode releases data before the integrity check
      * completes, so IDE adds (near) zero latency; non-skid serializes
      * the MAC check (Section 3.1 / 4.1).
      */
     bool ideSkidMode = true;
-    double ideNonSkidPenaltyNs = 25.0;
 };
 
 class MemTopology

@@ -18,7 +18,6 @@
 #define TOLEO_SECMEM_CI_HH
 
 #include "cache/set_assoc.hh"
-#include "crypto/timing.hh"
 #include "secmem/engine.hh"
 
 namespace toleo {
@@ -28,14 +27,6 @@ struct CiConfig
     bool integrity = true;
     std::uint64_t macCacheBytes = 1 * MiB;
     unsigned macCacheAssoc = 16;
-    CryptoTiming crypto;
-    /**
-     * Fraction of the memory channel latency that a parallel MAC
-     * fetch adds to the read critical path (the MAC block queues
-     * behind the data transfer on the same channel, and the MAC
-     * check gates data release; the rest overlaps under MLP).
-     */
-    double macFetchSerialization = 0.45;
 };
 
 class CiEngine : public ProtectionEngine

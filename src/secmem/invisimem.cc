@@ -2,11 +2,12 @@
 
 #include <algorithm>
 
+#include "crypto/timing.hh"
+
 namespace toleo {
 
-InvisiMemEngine::InvisiMemEngine(MemTopology &topo,
-                                 const InvisiMemConfig &cfg)
-    : ProtectionEngine("InvisiMem", topo), cfg_(cfg)
+InvisiMemEngine::InvisiMemEngine(MemTopology &topo)
+    : ProtectionEngine("InvisiMem", topo)
 {}
 
 MetaCost
@@ -17,14 +18,14 @@ InvisiMemEngine::onRead(BlockNum blk)
 
     // Request packet padded to write size + double encryption of the
     // response payload.  (The MAC rides in the same packet.)
-    cost.metaBytes += cfg_.packetOverheadBytes;
-    topo_.addDataTraffic(page, cfg_.packetOverheadBytes);
-    epochRealBytes_ += blockSize + cfg_.packetOverheadBytes;
+    cost.metaBytes += packetOverheadBytes;
+    topo_.addDataTraffic(page, packetOverheadBytes);
+    epochRealBytes_ += blockSize + packetOverheadBytes;
 
     // Double encryption on both the request and response path, plus
     // packet (de)framing at each endpoint.
-    cost.latencyNs += 2.0 * cyclesToNs(cfg_.crypto.aesLatency) +
-                      2.0 * cyclesToNs(cfg_.crypto.macLatency) +
+    cost.latencyNs += 2.0 * cyclesToNs(aesLatency) +
+                      2.0 * cyclesToNs(macLatency) +
                       10.0;
     return cost;
 }
@@ -36,9 +37,9 @@ InvisiMemEngine::onWriteback(BlockNum blk)
     const PageNum page = pageOfBlock(blk);
 
     // Write acknowledgement padded to read-response size.
-    cost.metaBytes += cfg_.packetOverheadBytes;
-    topo_.addDataTraffic(page, cfg_.packetOverheadBytes);
-    epochRealBytes_ += blockSize + cfg_.packetOverheadBytes;
+    cost.metaBytes += packetOverheadBytes;
+    topo_.addDataTraffic(page, packetOverheadBytes);
+    epochRealBytes_ += blockSize + packetOverheadBytes;
     return cost;
 }
 
@@ -49,10 +50,10 @@ InvisiMemEngine::padEpoch(double epoch_ns)
     const double agg_gbps =
         topo_.numDdrChannels() * topo_.config().ddrBandwidthGBps +
         topo_.config().cxlPoolBandwidthGBps;
-    // A negative dummyRateFraction (misconfiguration) must clamp to
-    // zero padding, not hit the float->unsigned cast as UB.
+    // A negative epoch length must clamp to zero padding, not hit
+    // the float->unsigned cast as UB.
     const auto target = static_cast<std::uint64_t>(
-        std::max(0.0, cfg_.dummyRateFraction * agg_gbps * epoch_ns));
+        std::max(0.0, dummyRateFraction * agg_gbps * epoch_ns));
 
     std::uint64_t pad = 0;
     if (epochRealBytes_ < target)

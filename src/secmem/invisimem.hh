@@ -17,28 +17,23 @@
 #ifndef TOLEO_SECMEM_INVISIMEM_HH
 #define TOLEO_SECMEM_INVISIMEM_HH
 
-#include "crypto/timing.hh"
 #include "secmem/engine.hh"
 
 namespace toleo {
 
-struct InvisiMemConfig
+class InvisiMemEngine : public ProtectionEngine
 {
-    CryptoTiming crypto;
+  public:
     /** Packet header + symmetric-size padding per access, bytes. */
-    std::uint64_t packetOverheadBytes = 48;
+    static constexpr std::uint64_t packetOverheadBytes = 48;
     /**
      * Constant-rate target as a fraction of aggregate channel
      * bandwidth; each epoch is padded up to this rate with dummy
      * packets.
      */
-    double dummyRateFraction = 0.30;
-};
+    static constexpr double dummyRateFraction = 0.30;
 
-class InvisiMemEngine : public ProtectionEngine
-{
-  public:
-    InvisiMemEngine(MemTopology &topo, const InvisiMemConfig &cfg);
+    explicit InvisiMemEngine(MemTopology &topo);
 
     MetaCost onRead(BlockNum blk) override;
     MetaCost onWriteback(BlockNum blk) override;
@@ -59,7 +54,6 @@ class InvisiMemEngine : public ProtectionEngine
     std::uint64_t dummyBytes() const { return dummyBytes_; }
 
   private:
-    InvisiMemConfig cfg_;
     /** Real bytes this epoch (tracked for constant-rate padding). */
     std::uint64_t epochRealBytes_ = 0;
     std::uint64_t dummyBytes_ = 0;

@@ -1,18 +1,35 @@
 #include "secmem/merkle.hh"
 
+#include "crypto/timing.hh"
+
 namespace toleo {
+
+namespace {
+
+/** Children per tree node. */
+constexpr unsigned arity = 8;
+/** Data blocks covered per 64 B leaf node. */
+constexpr unsigned blocksPerLeaf = 8;
+/** Associativity of the version/tree-node cache. */
+constexpr unsigned versionCacheAssoc = 16;
+/**
+ * Serialized fraction of channel latency per missing tree level
+ * (dependent walk: near 1.0).
+ */
+constexpr double levelSerialization = 0.9;
+
+} // namespace
 
 MerkleTreeEngine::MerkleTreeEngine(MemTopology &topo,
                                    const MerkleConfig &cfg)
     : ProtectionEngine("Merkle", topo), cfg_(cfg),
       cache_(SetAssocCache::fromCapacity(cfg.versionCacheBytes, blockSize,
-                                         cfg.versionCacheAssoc))
+                                         versionCacheAssoc))
 {
-    std::uint64_t nodes = cfg.protectedBytes / blockSize /
-                          cfg.blocksPerLeaf;
+    std::uint64_t nodes = cfg.protectedBytes / blockSize / blocksPerLeaf;
     numLevels_ = 1;
     while (nodes > 1) {
-        nodes = (nodes + cfg.arity - 1) / cfg.arity;
+        nodes = (nodes + arity - 1) / arity;
         ++numLevels_;
     }
 }
@@ -28,7 +45,7 @@ MerkleTreeEngine::walk(BlockNum blk, bool is_write)
 {
     MetaCost cost;
     const PageNum page = pageOfBlock(blk);
-    std::uint64_t index = blk / cfg_.blocksPerLeaf;
+    std::uint64_t index = blk / blocksPerLeaf;
     ++walks_;
 
     for (unsigned level = 0; level < numLevels_; ++level) {
@@ -44,9 +61,8 @@ MerkleTreeEngine::walk(BlockNum blk, bool is_write)
         // Fetch the missing node: a dependent access in the chain.
         cost.metaBytes += blockSize;
         topo_.addDataTraffic(page, blockSize);
-        cost.latencyNs +=
-            cfg_.levelSerialization * topo_.dataLatencyNs(page);
-        index /= cfg_.arity;
+        cost.latencyNs += levelSerialization * topo_.dataLatencyNs(page);
+        index /= arity;
     }
     return cost;
 }
@@ -56,8 +72,7 @@ MerkleTreeEngine::onRead(BlockNum blk)
 {
     MetaCost cost = walk(blk, false);
     // Decrypt + leaf MAC verify.
-    cost.latencyNs += cyclesToNs(cfg_.crypto.aesLatency) +
-                      cyclesToNs(cfg_.crypto.macLatency);
+    cost.latencyNs += cyclesToNs(aesLatency) + cyclesToNs(macLatency);
     return cost;
 }
 

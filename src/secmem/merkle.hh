@@ -4,7 +4,7 @@
  * baseline that Toleo replaces (Sections 1-2).
  *
  * A counter tree covers the protected region: each 64 B tree node
- * authenticates `arity` children; leaves hold per-block version
+ * authenticates eight children; leaves hold per-block version
  * counters.  The root stays on-chip.  A read must verify every node
  * from the leaf up to the first version-cache hit (or the root); the
  * walk is a dependent chain, so every missing level adds a full
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "cache/set_assoc.hh"
-#include "crypto/timing.hh"
 #include "secmem/engine.hh"
 
 namespace toleo {
@@ -30,19 +29,8 @@ struct MerkleConfig
 {
     /** Memory the tree protects; sets the number of levels. */
     std::uint64_t protectedBytes = 28 * TiB;
-    /** Children per tree node. */
-    unsigned arity = 8;
-    /** Data blocks covered per 64 B leaf node. */
-    unsigned blocksPerLeaf = 8;
     /** On-chip version/tree-node cache (32 KB per core in [63]). */
     std::uint64_t versionCacheBytes = 1 * MiB;
-    unsigned versionCacheAssoc = 16;
-    CryptoTiming crypto;
-    /**
-     * Serialized fraction of channel latency per missing tree level
-     * (dependent walk: near 1.0).
-     */
-    double levelSerialization = 0.9;
 };
 
 class MerkleTreeEngine : public ProtectionEngine

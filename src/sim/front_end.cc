@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "sim/intra_pool.hh"
+#include "toleo/trip.hh"
 
 namespace toleo {
 
@@ -97,8 +98,8 @@ FrontEnd::beginRun(std::uint64_t warmupRefs, std::uint64_t measureRefs)
     runGlobalRefs_ = 0;
     runEpochMark_ = 0;
     runPhaseRefs_ = 0;
-    runSampleEvery_ = std::max<std::uint64_t>(
-        1, measureRefs / params_.timelinePoints);
+    runSampleEvery_ =
+        std::max<std::uint64_t>(1, measureRefs / timelinePoints);
     runMeasuring_ = false;
     runActive_ = true;
     plan_.clear();

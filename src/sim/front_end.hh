@@ -137,7 +137,6 @@ class CoreFront
 struct FrontEndParams
 {
     std::uint64_t epochRefs = 16384; ///< global refs per epoch
-    unsigned timelinePoints = 64;    ///< samples per window
     bool samples = false;            ///< plan samples (a Toleo run)
     bool serving = false;            ///< stage request completions
     unsigned intraThreads = 1;       ///< caller included

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/logging.hh"
+#include "crypto/timing.hh"
 #include "secmem/noprotect.hh"
 #include "workload/trace_file.hh"
 
@@ -14,14 +15,15 @@ namespace toleo {
 
 namespace {
 
+/** Base retire rate with a perfect memory system (the paper's
+ *  data-intensive workloads run near CPI 1 on the 6-wide core). */
+constexpr double baseIpc = 1.25;
+
 /** @p cfg, once every setting a System cannot run with is rejected
  *  by a std::invalid_argument that names the field. */
 const SystemConfig &
 checked(const SystemConfig &cfg)
 {
-    if (cfg.timelinePoints == 0)
-        throw std::invalid_argument(
-            "System: timelinePoints must be >= 1");
     if (cfg.arrival.open()) {
         if (!std::isfinite(cfg.arrival.ratePerSec) ||
             cfg.arrival.ratePerSec <= 0.0)
@@ -106,9 +108,8 @@ System::System(const SystemConfig &cfg)
       winfo_(workloadInfo(cfg.workload)),
       front_(coreFronts(cfg, winfo_, hierarchy_),
              // Only a Toleo run has a device for Fig 12 to sample.
-             {cfg.epochRefs, cfg.timelinePoints,
-              cfg.engine == EngineKind::Toleo, cfg.arrival.open(),
-              cfg.intraThreads, cfg.phaseTimers})
+             {cfg.epochRefs, cfg.engine == EngineKind::Toleo,
+              cfg.arrival.open(), cfg.intraThreads, cfg.phaseTimers})
 {
     switch (cfg.engine) {
       case EngineKind::NoProtect:
@@ -133,15 +134,14 @@ System::System(const SystemConfig &cfg)
             device_ = std::make_unique<ToleoDevice>(cfg.device);
             devp_ = device_.get();
         }
-        auto eng = std::make_unique<ToleoEngine>(topo_, *devp_,
-                                                 cfg.toleo);
+        auto eng = std::make_unique<ToleoEngine>(topo_, *devp_, cfg.ci,
+                                                 cfg.stealth);
         toleoEngine_ = eng.get();
         engine_ = std::move(eng);
         break;
       }
       case EngineKind::InvisiMem: {
-        auto eng = std::make_unique<InvisiMemEngine>(topo_,
-                                                     cfg.invisimem);
+        auto eng = std::make_unique<InvisiMemEngine>(topo_);
         invisimem_ = eng.get();
         engine_ = std::move(eng);
         break;
@@ -178,7 +178,7 @@ System::~System() = default;
 double
 System::coreTimeNs(unsigned core, std::uint64_t insts) const
 {
-    return static_cast<double>(insts) / (cfg_.baseIpc * coreClockGhz) +
+    return static_cast<double>(insts) / (baseIpc * coreClockGhz) +
            coreStallNs_[core];
 }
 
@@ -256,6 +256,13 @@ System::completeRequest(unsigned core, std::uint64_t instsAtDone)
     // outpace service.  None of this feeds back into simulated state.
     sv.arrivalNs +=
         drawInterarrivalNs(cfg_.arrival, perCoreRate_, sv.rng);
+    // Past 2^53 ns a double no longer resolves 1 ns (every latency
+    // rounds to 0), and near the top of the range the clock
+    // overflows to inf.
+    if (!(sv.arrivalNs < 0x1p53))
+        throw std::range_error(
+            "System: a core's arrival clock passed 2^53 ns; "
+            "arrival.ratePerSec is too low for the window");
     const double start = std::max(sv.arrivalNs, sv.lastDoneNs);
     const double done = start + service;
     sv.lastDoneNs = done;
@@ -544,7 +551,6 @@ makeScaledConfig(const std::string &workload, EngineKind kind,
     // MAC cache scales like the paper's 32 KB/core.
     cfg.ci.macCacheBytes = std::max<std::uint64_t>(
         8 * KiB, cores * 4 * KiB);
-    cfg.toleo.ci = cfg.ci;
 
     // Channel bandwidth scales with the core count (the paper's
     // 32-core node has 3 DDR channels + one x8 CXL pool link).
@@ -716,37 +722,41 @@ statsCsvRow(const SimStats &stats)
 void
 printConfig(const SystemConfig &cfg, std::ostream &os)
 {
+    // Table 3's L1/L2/L3 hit latencies, in cycles.
+    constexpr Cycles l1Latency = 4;
+    constexpr Cycles l2Latency = 14;
+    constexpr Cycles l3Latency = 49;
+
     const auto &cc = cfg.caches;
     const auto &mm = cfg.mem;
     os << "Processor        " << coreClockGhz << " GHz, "
-       << cfg.numCores << " cores (base IPC " << cfg.baseIpc << ")\n"
+       << cfg.numCores << " cores (base IPC " << baseIpc << ")\n"
        << "L1-I/D cache     " << cc.l1Bytes / KiB << " KB per core, "
-       << cc.l1Assoc << "-way, " << cc.l1Latency << " cycles, LRU\n"
+       << cc.l1Assoc << "-way, " << l1Latency << " cycles, LRU\n"
        << "L2 cache         " << cc.l2Bytes / MiB << " MB per core, "
-       << cc.l2Assoc << "-way, " << cc.l2Latency << " cycles, LRU\n"
+       << cc.l2Assoc << "-way, " << l2Latency << " cycles, LRU\n"
        << "L3 cache         " << cc.l3SliceBytes / MiB
        << " MB shared by every " << cc.coresPerL3Slice << " cores, "
-       << cc.l3Assoc << "-way, " << cc.l3Latency << " cycles, LRU\n"
+       << cc.l3Assoc << "-way, " << l3Latency << " cycles, LRU\n"
        << "DRAM             DDR4-3200, " << mm.ddrChannels
        << " channels x " << mm.ddrBandwidthGBps << " GB/s, "
-       << mm.ddrLatencyNs << " ns\n"
+       << ddrLatencyNs << " ns\n"
        << "CXL mem pool     PCIe5 x8 " << mm.cxlPoolBandwidthGBps
-       << " GB/s, +" << mm.cxlPoolLatencyNs << " ns (retimer)\n"
+       << " GB/s, +" << cxlPoolLatencyNs << " ns (retimer)\n"
        << "Toleo link       CXL2.0 IDE PCIe5 x2 "
-       << mm.toleoLinkBandwidthGBps << " GB/s, +"
-       << mm.toleoLinkLatencyNs << " ns; HMC2 "
-       << mm.toleoDramLatencyNs << " ns"
+       << mm.toleoLinkBandwidthGBps << " GB/s, +" << toleoLinkLatencyNs
+       << " ns; HMC2 " << toleoDramLatencyNs << " ns"
        << (mm.ideSkidMode ? " (skid mode)" : "") << "\n"
-       << "AES engine       " << cfg.ci.crypto.aesLatency
+       << "AES engine       " << aesLatency
        << " cycles latency, 1/cycle throughput\n"
        << "MAC cache        " << cfg.ci.macCacheBytes / KiB << " KB, "
        << cfg.ci.macCacheAssoc << "-way, LRU\n"
-       << "L2 TLB ext.      " << cfg.toleo.stealth.tlbEntries
-       << " entries, fully assoc, +" << cfg.toleo.stealth.tlbExtBytes
+       << "L2 TLB ext.      " << cfg.stealth.tlbEntries
+       << " entries, fully assoc, +" << StealthCache::tlbExtBytes
        << " B/entry\n"
-       << "Stealth buf.     " << cfg.toleo.stealth.overflowBytes / KiB
-       << " KB, " << cfg.toleo.stealth.overflowAssoc << "-way, "
-       << cfg.toleo.stealth.overflowBlockBytes << " B blocks\n"
+       << "Stealth buf.     " << cfg.stealth.overflowBytes / KiB
+       << " KB, " << StealthCache::overflowAssoc << "-way, "
+       << StealthCache::overflowBlockBytes << " B blocks\n"
        << "Toleo device     "
        << cfg.device.capacityBytes / 1000000000 << " GB capacity, "
        << "protects " << cfg.device.protectedBytes / 1000000000000.0

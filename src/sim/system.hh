@@ -63,15 +63,11 @@ struct SystemConfig
     std::string workload = "bsw";
     EngineKind engine = EngineKind::Toleo;
     unsigned numCores = 32;
-    /** Base retire rate with a perfect memory system (the paper's
-     *  data-intensive workloads run near CPI 1 on the 6-wide core). */
-    double baseIpc = 1.25;
     CacheHierarchyConfig caches;
     MemTopologyConfig mem;
     CiConfig ci;
-    ToleoEngineConfig toleo;
+    StealthCacheConfig stealth;
     ToleoDeviceConfig device;
-    InvisiMemConfig invisimem;
     MerkleConfig merkle;
     std::uint64_t seed = 42;
     /**
@@ -84,8 +80,6 @@ struct SystemConfig
     ToleoDevice *sharedDevice = nullptr;
     /** Global references per traffic epoch. */
     std::uint64_t epochRefs = 16384;
-    /** Timeline samples to keep (Figure 12); at least 1. */
-    unsigned timelinePoints = 64;
     /**
      * Replay per-core reference streams from this loaded trace (see
      * workload/trace_file.hh; TraceFile::open reads and validates a
@@ -119,7 +113,9 @@ struct SystemConfig
      * generator in a RequestSource and report per-request latency and
      * SLO statistics in SimStats::serving.  The arrival overlay never
      * feeds back into simulated state, so all non-serving statistics
-     * are bit-identical to the closed run of the same config.
+     * are bit-identical to the closed run of the same config.  A rate
+     * so low that a core's arrival clock reaches 2^53 ns stops the
+     * run with a std::range_error.
      */
     ArrivalConfig arrival;
 };
@@ -423,7 +419,11 @@ class System
     void epochBoundary();
 };
 
-/** Pretty-print the Table 3 configuration. */
+/**
+ * Pretty-print the Table 3 configuration.  The L1/L2/L3 hit latencies
+ * it prints are Table 3 values the timing model does not charge:
+ * cores retire at the base IPC, and only LLC misses stall.
+ */
 void printConfig(const SystemConfig &cfg, std::ostream &os);
 
 /**

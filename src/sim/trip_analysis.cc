@@ -1,7 +1,6 @@
 #include "sim/trip_analysis.hh"
 
 #include <memory>
-#include <stdexcept>
 
 #include "cache/set_assoc.hh"
 #include "sim/page_footprint.hh"
@@ -9,15 +8,19 @@
 
 namespace toleo {
 
+namespace {
+
+/** Associativity of the write-coalescing filter. */
+constexpr unsigned cacheAssoc = 16;
+
+} // namespace
+
 TripAnalysisResult
 runTripAnalysis(const TripAnalysisConfig &cfg)
 {
-    if (cfg.timelinePoints == 0)
-        throw std::invalid_argument(
-            "runTripAnalysis: timelinePoints must be >= 1");
-    TripStore store(cfg.trip);
+    TripStore store(TripConfig{});
     auto cache = SetAssocCache::fromCapacity(cfg.cacheBytes, blockSize,
-                                             cfg.cacheAssoc);
+                                             cacheAssoc);
     std::vector<std::unique_ptr<TraceGen>> gens;
     for (unsigned c = 0; c < cfg.cores; ++c)
         gens.push_back(makeWorkload(cfg.workload, c, cfg.seed));
@@ -29,7 +32,7 @@ runTripAnalysis(const TripAnalysisConfig &cfg)
 
     const std::uint64_t total_refs = cfg.refsPerCore * cfg.cores;
     const std::uint64_t sample_every =
-        std::max<std::uint64_t>(1, total_refs / cfg.timelinePoints);
+        std::max<std::uint64_t>(1, total_refs / timelinePoints);
     std::uint64_t refs = 0;
 
     for (std::uint64_t r = 0; r < cfg.refsPerCore; ++r) {

@@ -32,11 +32,7 @@ struct TripAnalysisConfig
     std::uint64_t seed = 42;
     /** Write-coalescing filter capacity (models the cache system). */
     std::uint64_t cacheBytes = 512 * KiB;
-    unsigned cacheAssoc = 16;
     std::uint64_t refsPerCore = 2'000'000;
-    /** Usage-timeline samples (Figure 12); at least 1. */
-    unsigned timelinePoints = 64;
-    TripConfig trip;
 };
 
 struct TripAnalysisResult

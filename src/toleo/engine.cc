@@ -4,10 +4,26 @@
 
 namespace toleo {
 
+namespace {
+
+/** CXL.mem request flit bytes on the IDE link. */
+constexpr std::uint64_t requestBytes = 16;
+/** Response flit bytes (one Trip entry fits in a 64 B flit). */
+constexpr std::uint64_t responseBytes = 64;
+/**
+ * A version UPDATE whose entry is not cached is a compact command +
+ * short response (the device increments locally and returns just the
+ * new 27-bit stealth), not a full entry fetch.
+ */
+constexpr std::uint64_t updateRequestBytes = 16;
+constexpr std::uint64_t updateResponseBytes = 16;
+
+} // namespace
+
 ToleoEngine::ToleoEngine(MemTopology &topo, ToleoDevice &device,
-                         const ToleoEngineConfig &cfg)
-    : CiEngine(topo, cfg.ci, "Toleo"), tcfg_(cfg), device_(device),
-      scache_(cfg.stealth)
+                         const CiConfig &ci,
+                         const StealthCacheConfig &stealth)
+    : CiEngine(topo, ci, "Toleo"), device_(device), scache_(stealth)
 {}
 
 void
@@ -22,8 +38,8 @@ double
 ToleoEngine::fetchFromToleo(BlockNum blk, bool on_read)
 {
     const std::uint64_t bytes =
-        on_read ? tcfg_.requestBytes + tcfg_.responseBytes
-                : tcfg_.updateRequestBytes + tcfg_.updateResponseBytes;
+        on_read ? requestBytes + responseBytes
+                : updateRequestBytes + updateResponseBytes;
     topo_.addToleoTraffic(bytes);
     device_.read(blk);
 

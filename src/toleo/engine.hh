@@ -20,28 +20,11 @@
 
 namespace toleo {
 
-struct ToleoEngineConfig
-{
-    CiConfig ci;
-    StealthCacheConfig stealth;
-    /** CXL.mem request flit bytes on the IDE link. */
-    std::uint64_t requestBytes = 16;
-    /** Response flit bytes (one Trip entry fits in a 64 B flit). */
-    std::uint64_t responseBytes = 64;
-    /**
-     * A version UPDATE whose entry is not cached is a compact
-     * command + short response (the device increments locally and
-     * returns just the new 27-bit stealth), not a full entry fetch.
-     */
-    std::uint64_t updateRequestBytes = 16;
-    std::uint64_t updateResponseBytes = 16;
-};
-
 class ToleoEngine : public CiEngine
 {
   public:
     ToleoEngine(MemTopology &topo, ToleoDevice &device,
-                const ToleoEngineConfig &cfg);
+                const CiConfig &ci, const StealthCacheConfig &stealth);
 
     MetaCost onRead(BlockNum blk) override;
     MetaCost onWriteback(BlockNum blk) override;
@@ -63,7 +46,6 @@ class ToleoEngine : public CiEngine
     std::uint64_t addedSramBytes() const { return scache_.sramBytes(); }
 
   private:
-    ToleoEngineConfig tcfg_;
     ToleoDevice &device_;
     StealthCache scache_;
     std::uint64_t pageReencryptions_ = 0;

@@ -67,8 +67,6 @@ class SecureMemory
     void freePage(PageNum page);
 
     bool killed() const { return killed_; }
-    /** Restart after a kill (new enclave; testing convenience). */
-    void reviveForTesting() { killed_ = false; }
 
     /** @name Adversary interface (untrusted-memory access). */
     /// @{

@@ -5,10 +5,9 @@ namespace toleo {
 StealthCache::StealthCache(const StealthCacheConfig &cfg)
     : cfg_(cfg),
       tlb_(cfg.tlbEntries),
-      overflow_(cfg.overflowBytes / cfg.overflowBlockBytes /
-                    cfg.overflowAssoc,
-                cfg.overflowAssoc),
-      combine_(cfg.updateCombineEntries)
+      overflow_(cfg.overflowBytes / overflowBlockBytes / overflowAssoc,
+                overflowAssoc),
+      combine_(updateCombineEntries)
 {}
 
 std::uint64_t
@@ -45,13 +44,13 @@ StealthCache::access(BlockNum blk, TripFormat fmt, bool is_update)
         auto tlb_res = tlb_.access(page, false);
         hit = tlb_res.hit;
         if (tlb_res.writebackTag)
-            out.writebackBytes += cfg_.tlbExtBytes;
+            out.writebackBytes += tlbExtBytes;
 
         if (fmt == TripFormat::Uneven) {
             auto ov = overflow_.access(overflowKey(page, 0), false);
             hit = hit && ov.hit;
             if (ov.writebackTag)
-                out.writebackBytes += cfg_.overflowBlockBytes;
+                out.writebackBytes += overflowBlockBytes;
         } else if (fmt == TripFormat::Full) {
             // A 56 B chunk holds 16 x 27-bit versions; pick the
             // chunk containing this block's version.
@@ -60,7 +59,7 @@ StealthCache::access(BlockNum blk, TripFormat fmt, bool is_update)
                 overflow_.access(overflowKey(page, chunk), false);
             hit = hit && ov.hit;
             if (ov.writebackTag)
-                out.writebackBytes += cfg_.overflowBlockBytes;
+                out.writebackBytes += overflowBlockBytes;
         }
     }
 
@@ -104,7 +103,7 @@ StealthCache::hitRate() const
 std::uint64_t
 StealthCache::sramBytes() const
 {
-    return static_cast<std::uint64_t>(cfg_.tlbEntries) * cfg_.tlbExtBytes +
+    return static_cast<std::uint64_t>(cfg_.tlbEntries) * tlbExtBytes +
            cfg_.overflowBytes;
 }
 

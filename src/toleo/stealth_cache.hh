@@ -28,18 +28,7 @@ namespace toleo {
 struct StealthCacheConfig
 {
     unsigned tlbEntries = 256;
-    /** Flat-entry extension per TLB entry, bytes. */
-    unsigned tlbExtBytes = 12;
     std::uint64_t overflowBytes = 28 * KiB;
-    unsigned overflowAssoc = 16;
-    unsigned overflowBlockBytes = 56;
-    /**
-     * Write-combining buffer for version updates: bursts of
-     * writebacks to the same page (a KV value spanning several
-     * blocks, a page's eviction wave) coalesce into one device
-     * UPDATE instead of one per block.
-     */
-    unsigned updateCombineEntries = 16;
 };
 
 /** Outcome of one stealth-cache lookup. */
@@ -54,6 +43,11 @@ struct StealthLookup
 class StealthCache
 {
   public:
+    /** Flat-entry extension per TLB entry, bytes. */
+    static constexpr unsigned tlbExtBytes = 12;
+    static constexpr unsigned overflowAssoc = 16;
+    static constexpr unsigned overflowBlockBytes = 56;
+
     explicit StealthCache(const StealthCacheConfig &cfg);
 
     /**
@@ -79,15 +73,20 @@ class StealthCache
     std::uint64_t updateHits() const { return updateHits_; }
     std::uint64_t updateMisses() const { return updateMisses_; }
 
-    double tlbHitRate() const { return tlb_.hitRate(); }
-    double overflowHitRate() const { return overflow_.hitRate(); }
-
     /** Total on-chip SRAM the stealth caches add, bytes (Sec 7.3). */
     std::uint64_t sramBytes() const;
 
     void resetStats();
 
   private:
+    /**
+     * Write-combining buffer for version updates: bursts of
+     * writebacks to the same page (a KV value spanning several
+     * blocks, a page's eviction wave) coalesce into one device
+     * UPDATE instead of one per block.
+     */
+    static constexpr unsigned updateCombineEntries = 16;
+
     StealthCacheConfig cfg_;
     /** Fully associative TLB extension, keyed by page number. */
     FullyAssocCache tlb_;

@@ -6,6 +6,15 @@
 
 namespace toleo {
 
+namespace {
+
+/** Uneven-entry private-offset width, bits (7 in the paper). */
+constexpr unsigned offsetBits = 7;
+/** Largest private offset an uneven entry holds. */
+constexpr std::uint32_t offsetMax = (1u << offsetBits) - 1;
+
+} // namespace
+
 const char *
 tripFormatName(TripFormat fmt)
 {
@@ -22,13 +31,10 @@ TripStore::TripStore(const TripConfig &cfg)
 {
     if (cfg.stealthBits == 0 || cfg.stealthBits > 32)
         fatal("TripStore: stealthBits must be in 1..32");
-    if (cfg.offsetBits == 0 || cfg.offsetBits > 8)
-        fatal("TripStore: offsetBits must be in 1..8");
     stealthMask_ =
         static_cast<std::uint32_t>((std::uint64_t{1} << cfg.stealthBits) - 1);
     uvMask_ = cfg.uvBits >= 64 ? ~std::uint64_t{0}
                                : (std::uint64_t{1} << cfg.uvBits) - 1;
-    offsetMax_ = (1u << cfg.offsetBits) - 1;
 }
 
 std::uint32_t
@@ -185,7 +191,7 @@ TripStore::update(BlockNum blk)
       case TripFormat::Uneven: {
         auto &off = ps.uneven->off;
         std::uint32_t new_off = static_cast<std::uint32_t>(off[idx]) + 1;
-        if (new_off > offsetMax_) {
+        if (new_off > offsetMax) {
             // Try to renormalize: fold MIN into the base.
             std::uint8_t mn = 255;
             for (unsigned i = 0; i < blocksPerPage; ++i)
@@ -204,7 +210,7 @@ TripStore::update(BlockNum blk)
                 ps.vbase += mn;
             }
         }
-        if (new_off > offsetMax_) {
+        if (new_off > offsetMax) {
             // Stride exceeds 2^7 even after normalization: full.
             ps.full = std::make_unique<FullEntry>();
             ++fullCount_;

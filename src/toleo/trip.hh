@@ -40,6 +40,9 @@
 
 namespace toleo {
 
+/** Usage-timeline samples per run (Figure 12). */
+constexpr unsigned timelinePoints = 64;
+
 /** What happened inside the store on one version update. */
 struct TripUpdateResult
 {
@@ -204,7 +207,6 @@ class TripStore
     TripConfig cfg_;
     std::uint32_t stealthMask_;
     std::uint64_t uvMask_;
-    std::uint32_t offsetMax_;
     mutable Rng rng_;
     /** Touched pages in first-touch order. */
     std::vector<PageState> pages_;

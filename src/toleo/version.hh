@@ -29,8 +29,6 @@ struct TripConfig
     unsigned uvBits = 37;
     /** Reset probability is 2^-resetLog2 per leading increment. */
     unsigned resetLog2 = 20;
-    /** Uneven-entry private-offset width, bits (7 in the paper). */
-    unsigned offsetBits = 7;
     /** Seed for the device RNG (D-RaNGe stand-in). */
     std::uint64_t seed = 0x70133e0;
 };

@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -257,39 +256,24 @@ TraceFile::open(const std::string &path)
     }
     const std::size_t size = static_cast<std::size_t>(st.st_size);
 
-    void *map = size > 0
-                    ? ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE,
-                             fd, 0)
-                    : MAP_FAILED;
-    if (map != MAP_FAILED) {
-        tf->data_ = static_cast<const std::uint8_t *>(map);
-        tf->mapped_ = true;
-    } else {
-        // Streamed fallback (also taken for zero-length files so the
-        // truncation check below reports them instead of mmap).
-        auto *buf = new std::uint8_t[size ? size : 1];
-        std::size_t got = 0;
-        while (got < size) {
-            const ssize_t n = ::read(fd, buf + got, size - got);
-            if (n <= 0) {
-                delete[] buf;
-                ::close(fd);
-                throw TraceError("cannot read trace file '" + path +
-                                 "'");
-            }
-            got += static_cast<std::size_t>(n);
+    // One buffered read: the validation below touches every byte
+    // anyway, so a mapping would save no I/O.
+    tf->data_.resize(size);
+    for (std::size_t got = 0; got < size;) {
+        const ssize_t n = ::read(fd, tf->data_.data() + got, size - got);
+        if (n <= 0) {
+            ::close(fd);
+            throw TraceError("cannot read trace file '" + path + "'");
         }
-        tf->data_ = buf;
-        tf->mapped_ = false;
+        got += static_cast<std::size_t>(n);
     }
-    tf->size_ = size;
     ::close(fd);
 
     // --- Header ---------------------------------------------------
     if (size < headerBytes)
         throw TraceError("'" + path + "': truncated trace header (" +
                          std::to_string(size) + " bytes)");
-    const std::uint8_t *d = tf->data_;
+    const std::uint8_t *d = tf->data_.data();
     if (std::memcmp(d, traceMagic, 8) != 0)
         throw TraceError("'" + path + "': not a TOLEOTRC trace file");
     const std::uint32_t version = getU32(d + 8);
@@ -383,16 +367,6 @@ TraceFile::open(const std::string &path)
                 std::to_string(s.count));
     }
     return tf;
-}
-
-TraceFile::~TraceFile()
-{
-    if (!data_)
-        return;
-    if (mapped_)
-        ::munmap(const_cast<std::uint8_t *>(data_), size_);
-    else
-        delete[] data_;
 }
 
 TraceReplayGen::TraceReplayGen(WorkloadInfo info,

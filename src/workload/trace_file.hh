@@ -37,10 +37,10 @@
  * common case -- strided or page-local streams -- one or two bytes
  * per field instead of the 16-byte raw MemRef.
  *
- * The reader maps the file read-only (falling back to a buffered
- * read where mmap is unavailable) and validates every stream's
- * payload once at open, so the per-reference replay decode needs no
- * bounds checks beyond the end-of-stream wrap.  All load-time
+ * The reader reads the whole file into a buffer it owns and
+ * validates every stream's payload once at open, so the
+ * per-reference replay decode needs no bounds checks beyond the
+ * end-of-stream wrap.  All load-time
  * failures throw TraceError, which runSweep() surfaces to the
  * caller like any other cell failure.
  */
@@ -119,7 +119,7 @@ void captureTrace(const std::string &path, const std::string &workload,
                   std::uint64_t refsPerCore);
 
 /**
- * A loaded (mmap'd or buffered) trace file.  Immutable and
+ * A loaded trace file, held in memory.  Immutable and
  * position-free, so one instance can back every replay generator of
  * a System -- and, read-only, every cell of a sweep.
  */
@@ -130,7 +130,7 @@ class TraceFile
     static std::shared_ptr<const TraceFile>
     open(const std::string &path);
 
-    ~TraceFile();
+    /** The streams point into data_: not copyable. */
     TraceFile(const TraceFile &) = delete;
     TraceFile &operator=(const TraceFile &) = delete;
 
@@ -165,9 +165,7 @@ class TraceFile
 
     TraceFile() = default;
 
-    const std::uint8_t *data_ = nullptr;
-    std::size_t size_ = 0;
-    bool mapped_ = false; ///< munmap vs delete[] on destruction
+    std::vector<std::uint8_t> data_;
     std::vector<Stream> streams_;
     std::string workload_;
     std::uint64_t seed_ = 0;

@@ -417,7 +417,6 @@ stageWholeRun(const std::string &workload, bool open, bool samples,
     }
     FrontEndParams params;
     params.epochRefs = cfg.epochRefs;
-    params.timelinePoints = cfg.timelinePoints;
     params.samples = samples;
     params.serving = open;
     params.intraThreads = intra;

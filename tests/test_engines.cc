@@ -44,8 +44,8 @@ TEST(GuaranteeMatrix, MatchesTable1)
     CiEngine c(topo, c_only);
     CiEngine ci(topo, {});
     ToleoDevice dev(devConfig());
-    ToleoEngine tol(topo, dev, {});
-    InvisiMemEngine inv(topo, {});
+    ToleoEngine tol(topo, dev, {}, {});
+    InvisiMemEngine inv(topo);
 
     // NoProtect: nothing.
     EXPECT_FALSE(np.confidentiality());
@@ -175,17 +175,17 @@ TEST(Merkle, SharedAncestorsShortenWalks)
 TEST(InvisiMem, PacketPaddingOnEveryAccess)
 {
     MemTopology topo({});
-    InvisiMemConfig cfg;
-    InvisiMemEngine inv(topo, cfg);
-    EXPECT_EQ(inv.onRead(blk(1, 0)).metaBytes, cfg.packetOverheadBytes);
+    InvisiMemEngine inv(topo);
+    EXPECT_EQ(inv.onRead(blk(1, 0)).metaBytes,
+              InvisiMemEngine::packetOverheadBytes);
     EXPECT_EQ(inv.onWriteback(blk(1, 0)).metaBytes,
-              cfg.packetOverheadBytes);
+              InvisiMemEngine::packetOverheadBytes);
 }
 
 TEST(InvisiMem, DummyPacketsPadIdleEpochs)
 {
     MemTopology topo({});
-    InvisiMemEngine inv(topo, {});
+    InvisiMemEngine inv(topo);
     inv.onRead(blk(1, 0));
     const auto pad = inv.padEpoch(1000.0);
     EXPECT_GT(pad, 0u); // one access nowhere near the constant rate
@@ -195,7 +195,7 @@ TEST(InvisiMem, DummyPacketsPadIdleEpochs)
 TEST(InvisiMem, BusyEpochsNeedLessPadding)
 {
     MemTopology topo({});
-    InvisiMemEngine a(topo, {}), b(topo, {});
+    InvisiMemEngine a(topo), b(topo);
     a.onRead(blk(1, 0));
     for (int i = 0; i < 200; ++i)
         b.onRead(blk(1, i % 64));
@@ -206,7 +206,7 @@ TEST(ToleoEngine, StealthMissFetchesFromDevice)
 {
     MemTopology topo({});
     ToleoDevice dev(devConfig());
-    ToleoEngine eng(topo, dev, {});
+    ToleoEngine eng(topo, dev, {}, {});
     eng.onRead(blk(1, 0));
     const auto cold = topo.toleoBytes();
     EXPECT_GT(cold, 0u); // cold stealth miss
@@ -218,7 +218,7 @@ TEST(ToleoEngine, WritebackUpdatesDeviceVersion)
 {
     MemTopology topo({});
     ToleoDevice dev(devConfig());
-    ToleoEngine eng(topo, dev, {});
+    ToleoEngine eng(topo, dev, {}, {});
     const auto v0 = dev.fullVersion(blk(2, 0));
     eng.onWriteback(blk(2, 0));
     EXPECT_NE(dev.fullVersion(blk(2, 0)), v0);
@@ -229,7 +229,7 @@ TEST(ToleoEngine, UpgradeInvalidatesCachedEntries)
 {
     MemTopology topo({});
     ToleoDevice dev(devConfig());
-    ToleoEngine eng(topo, dev, {});
+    ToleoEngine eng(topo, dev, {}, {});
     eng.onWriteback(blk(3, 0));
     eng.onWriteback(blk(3, 0)); // upgrade flat -> uneven
     EXPECT_EQ(dev.formatOf(3), TripFormat::Uneven);
@@ -245,7 +245,7 @@ TEST(ToleoEngine, ResetChargesReencryption)
     auto dcfg = devConfig();
     dcfg.trip.resetLog2 = 0; // reset on every leading increment
     ToleoDevice dev(dcfg);
-    ToleoEngine eng(topo, dev, {});
+    ToleoEngine eng(topo, dev, {}, {});
     auto cost = eng.onWriteback(blk(4, 0));
     EXPECT_GE(cost.metaBytes, 2 * blocksPerPage * blockSize);
     EXPECT_EQ(eng.pageReencryptions(), 1u);
@@ -255,7 +255,7 @@ TEST(ToleoEngine, AddedSramMatchesPaper)
 {
     MemTopology topo({});
     ToleoDevice dev(devConfig());
-    ToleoEngine eng(topo, dev, {});
+    ToleoEngine eng(topo, dev, {}, {});
     EXPECT_EQ(eng.addedSramBytes(), 31 * KiB); // Section 7.3
 }
 
@@ -291,7 +291,7 @@ TEST(ResetMeasurement, ToleoZeroesCacheCountsAndReencryptions)
     auto dcfg = devConfig();
     dcfg.trip.resetLog2 = 0; // reset on every leading increment
     ToleoDevice dev(dcfg);
-    ToleoEngine eng(topo, dev, {});
+    ToleoEngine eng(topo, dev, {}, {});
     eng.onRead(blk(1, 0));
     eng.onRead(blk(1, 1));
     eng.onWriteback(blk(4, 0));
@@ -317,7 +317,7 @@ TEST(ResetMeasurement, ToleoZeroesCacheCountsAndReencryptions)
 TEST(ResetMeasurement, InvisiMemZeroesDummyBytesAndKeepsEpochBytes)
 {
     MemTopology topo({});
-    InvisiMemEngine a(topo, {}), b(topo, {});
+    InvisiMemEngine a(topo), b(topo);
     a.padEpoch(1000.0);
     b.padEpoch(1000.0);
     ASSERT_GT(a.dummyBytes(), 0u);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/timing.hh"
 #include "mem/topology.hh"
 #include "sim/system.hh"
 
@@ -44,20 +45,15 @@ TEST(ScaledConfig, DesignConstantsStayAtPaperValues)
 {
     const auto cfg = makeScaledConfig("bsw", EngineKind::Toleo, 8);
     // The design under study must not be scaled away.
-    EXPECT_EQ(cfg.toleo.stealth.tlbEntries, 256u);
-    EXPECT_EQ(cfg.toleo.stealth.tlbExtBytes, 12u);
-    EXPECT_EQ(cfg.toleo.stealth.overflowBytes, 28 * KiB);
+    EXPECT_EQ(cfg.stealth.tlbEntries, 256u);
+    EXPECT_EQ(cfg.stealth.overflowBytes, 28 * KiB);
     EXPECT_EQ(cfg.device.trip.stealthBits, 27u);
     EXPECT_EQ(cfg.device.trip.uvBits, 37u);
     EXPECT_EQ(cfg.device.trip.resetLog2, 20u);
-    EXPECT_EQ(cfg.ci.crypto.aesLatency, 40u);
-    EXPECT_DOUBLE_EQ(cfg.mem.toleoLinkLatencyNs, 95.0);
-}
-
-TEST(ScaledConfig, MacCacheTracksToleoEngineConfig)
-{
-    const auto cfg = makeScaledConfig("bsw", EngineKind::Toleo, 8);
-    EXPECT_EQ(cfg.toleo.ci.macCacheBytes, cfg.ci.macCacheBytes);
+    // Table 3 values no configuration varies.
+    EXPECT_EQ(StealthCache::tlbExtBytes, 12u);
+    EXPECT_EQ(aesLatency, 40u);
+    EXPECT_DOUBLE_EQ(toleoLinkLatencyNs, 95.0);
 }
 
 TEST(ScaledConfig, HierarchyIsWellOrdered)

@@ -408,6 +408,26 @@ TEST(ServingConfig, RejectsNonPositiveRate)
     }
 }
 
+// A rate that passes those checks can still drive a core's arrival
+// clock past 2^53 ns, where a double no longer resolves 1 ns: every
+// latency used to round to exactly 0.  The run stops by field name.
+TEST(ServingConfig, RejectsArrivalClockPast2To53Ns)
+{
+    SystemConfig cfg = makeScaledConfig("kvs", EngineKind::Toleo, 2);
+    std::string err;
+    ASSERT_TRUE(parseArrivalSpec("poisson:1e-20", cfg.arrival, err))
+        << err;
+    System sys(cfg);
+    try {
+        sys.run(500, 1500);
+        ADD_FAILURE() << "no throw";
+    } catch (const std::range_error &e) {
+        EXPECT_NE(std::string(e.what()).find("arrival.ratePerSec"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ServingConfig, RejectsBadSloAndRequestRefs)
 {
     SystemConfig cfg = makeScaledConfig("kvs", EngineKind::Toleo, 2);

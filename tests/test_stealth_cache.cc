@@ -80,7 +80,7 @@ TEST(StealthCache, DirtyEvictionsReportWritebackBytes)
     sc.access(blk(1, 0), TripFormat::Flat, true); // touch: dirty
     sc.access(blk(2, 0), TripFormat::Flat, false);
     auto r = sc.access(blk(3, 0), TripFormat::Flat, false); // evicts 1
-    EXPECT_EQ(r.writebackBytes, cfg.tlbExtBytes);
+    EXPECT_EQ(r.writebackBytes, StealthCache::tlbExtBytes);
 }
 
 TEST(StealthCache, UpdatesDoNotAllocate)

@@ -496,7 +496,9 @@ TEST(ToleoSimBinary, ServingGuardsFailFast)
     EXPECT_TRUE(fails("--arrival burst:1e6"));
     // Specs that parse but whose per-core mean interarrival or
     // lognormal variance is not finite used to run with every latency
-    // at the histogram's clamp; they fail by field name, exit 1.
+    // at the histogram's clamp, and a rate that drives the arrival
+    // clock past 2^53 ns with every latency at 0; they fail by field
+    // name, exit 1.
     struct Case
     {
         const char *spec;
@@ -505,7 +507,8 @@ TEST(ToleoSimBinary, ServingGuardsFailFast)
     for (const Case &c :
          {Case{"poisson:1e-300", "arrival.ratePerSec"},
           Case{"burst:1e-300,1", "arrival.ratePerSec"},
-          Case{"burst:1e6,1e200", "arrival.cv"}}) {
+          Case{"burst:1e6,1e200", "arrival.cv"},
+          Case{"poisson:1e-250", "arrival.ratePerSec"}}) {
         const std::string err =
             cliError(std::string("--workloads kvs --engines Toleo"
                                  " --cores 2 --warmup 500 --measure"

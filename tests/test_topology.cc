@@ -52,7 +52,7 @@ TEST(Topology, CxlPagesHaveHigherLatency)
     }
     EXPECT_GT(topo.dataLatencyNs(remote), topo.dataLatencyNs(local));
     EXPECT_NEAR(topo.dataLatencyNs(remote) - topo.dataLatencyNs(local),
-                cfg.cxlPoolLatencyNs, 1e-9);
+                cxlPoolLatencyNs, 1e-9);
 }
 
 TEST(Topology, ToleoLatencyIncludesLinkAndHmc)
@@ -60,7 +60,7 @@ TEST(Topology, ToleoLatencyIncludesLinkAndHmc)
     MemTopologyConfig cfg;
     MemTopology topo(cfg);
     EXPECT_NEAR(topo.toleoLatencyNs(),
-                cfg.toleoLinkLatencyNs + cfg.toleoDramLatencyNs, 1e-9);
+                toleoLinkLatencyNs + toleoDramLatencyNs, 1e-9);
 }
 
 TEST(Topology, NonSkidModeAddsPenalty)
@@ -71,7 +71,7 @@ TEST(Topology, NonSkidModeAddsPenalty)
     MemTopologyConfig skid;
     MemTopology stopo(skid);
     EXPECT_NEAR(topo.toleoLatencyNs() - stopo.toleoLatencyNs(),
-                cfg.ideNonSkidPenaltyNs, 1e-9);
+                ideNonSkidPenaltyNs, 1e-9);
 }
 
 TEST(Topology, TrafficRoutedToOwningChannel)
