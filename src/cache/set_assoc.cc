@@ -2,49 +2,7 @@
 
 #include <algorithm>
 
-#if TOLEO_SET_ASSOC_SIMD
-#include <immintrin.h>
-#endif
-
 namespace toleo {
-
-#if TOLEO_SET_ASSOC_SIMD
-
-__attribute__((target("avx2"))) unsigned
-SetAssocCache::scanWaysAvx2(const std::uint64_t *keys,
-                            const std::uint64_t *meta, unsigned assoc,
-                            std::uint64_t key)
-{
-    const __m256i needle =
-        _mm256_set1_epi64x(static_cast<long long>(key));
-    unsigned w = 0;
-    for (; w + 4 <= assoc; w += 4) {
-        // The slab is 8-byte aligned, not 32: unaligned loads, which
-        // cost nothing on cache-resident data on every AVX2 part.
-        const __m256i four = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(keys + w));
-        const __m256i eq = _mm256_cmpeq_epi64(four, needle);
-        std::uint32_t mask = static_cast<std::uint32_t>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(eq)));
-        // Matches are almost always unique (stale duplicates need an
-        // invalidated line), so this loop runs at most once in
-        // practice; lowest lane first preserves the scalar order.
-        while (mask != 0) {
-            const unsigned lane =
-                static_cast<unsigned>(__builtin_ctz(mask));
-            if (meta[w + lane] & kValid)
-                return w + lane;
-            mask &= mask - 1;
-        }
-    }
-    for (; w < assoc; ++w) {
-        if (keys[w] == key && (meta[w] & kValid))
-            return w;
-    }
-    return wayNone;
-}
-
-#endif // TOLEO_SET_ASSOC_SIMD
 
 SetAssocCache::SetAssocCache(std::uint64_t num_sets, unsigned assoc)
     : numSets_(num_sets), assoc_(assoc), stride_(2 * assoc),

@@ -16,9 +16,12 @@
  * metadata word packs (lastUse << 2) | dirty | valid.  A whole
  * 16-way set then spans three host cache lines instead of five, the
  * LRU victim is a plain argmin over the metadata words (an invalid
- * line's word is 0, which any valid word exceeds), and the MRU line
- * is kept in way 0 so the common repeated-key probe needs neither
- * hash nor scan.
+ * line's word is 0, which any valid word exceeds), and the tag probe
+ * is a plain loop over the set's keys.  Each set keeps its most
+ * recently touched line in way 0, where a repeat hit ends that loop
+ * at the first compare, and the cache remembers the last key it
+ * touched, so the common repeated-key probe needs neither hash nor
+ * scan.
  */
 
 #ifndef TOLEO_CACHE_SET_ASSOC_HH
@@ -32,15 +35,6 @@
 
 #include "common/logging.hh"
 #include "common/types.hh"
-
-/** SIMD tag probes: x86-64 with a GNU-flavored compiler can build the
- *  AVX2 scan as a target("avx2") function and dispatch on the host
- *  CPU at runtime, so the binary stays baseline-portable. */
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define TOLEO_SET_ASSOC_SIMD 1
-#else
-#define TOLEO_SET_ASSOC_SIMD 0
-#endif
 
 namespace toleo {
 
@@ -160,64 +154,6 @@ class SetAssocCache
     unsigned assoc() const { return assoc_; }
     void resetStats();
 
-    /** Way index meaning "not found" (see scanWays). */
-    static constexpr unsigned wayNone = ~0u;
-    /** Metadata word: (lastUse << 2) | kDirty | kValid. */
-    static constexpr std::uint64_t kValid = 1;
-    static constexpr std::uint64_t kDirty = 2;
-
-    /**
-     * Scalar reference scan over one set's key/metadata words: the
-     * lowest way w with keys[w] == key whose valid bit is set, or
-     * wayNone.  Public and static (alongside the SIMD variant below)
-     * so tests/test_set_assoc.cc can property-test the two
-     * implementations against each other on arbitrary slabs.
-     */
-    static unsigned
-    scanWaysScalar(const std::uint64_t *keys, const std::uint64_t *meta,
-                   unsigned assoc, std::uint64_t key)
-    {
-        for (unsigned w = 0; w < assoc; ++w) {
-            // Keys of invalid lines are stale, so the (rare) tag
-            // match still has to check the valid bit.
-            if (keys[w] == key && (meta[w] & kValid))
-                return w;
-        }
-        return wayNone;
-    }
-
-#if TOLEO_SET_ASSOC_SIMD
-    /** AVX2 scan, scalar-identical by construction: 4-way compares
-     *  walk the ways in ascending order and candidate lanes resolve
-     *  lowest-first, so stale duplicates behind an invalid line
-     *  cannot change which way wins. */
-    static unsigned scanWaysAvx2(const std::uint64_t *keys,
-                                 const std::uint64_t *meta,
-                                 unsigned assoc, std::uint64_t key);
-
-    /** Runtime CPU dispatch, resolved once before main() so the
-     *  check is a plain bool load on the hot path. */
-    static bool
-    haveAvx2()
-    {
-        static const bool ok = __builtin_cpu_supports("avx2") != 0;
-        return ok;
-    }
-#endif
-
-    /** Dispatching scan: SIMD when the host supports it and the set
-     *  is wide enough to amortize the setup, scalar otherwise. */
-    static unsigned
-    scanWays(const std::uint64_t *keys, const std::uint64_t *meta,
-             unsigned assoc, std::uint64_t key)
-    {
-#if TOLEO_SET_ASSOC_SIMD
-        if (assoc >= 8 && haveAvx2())
-            return scanWaysAvx2(keys, meta, assoc, key);
-#endif
-        return scanWaysScalar(keys, meta, assoc, key);
-    }
-
     /**
      * Hint the prefetcher at the slab lines an upcoming access to
      * @p key will probe (the set's keys and its metadata words).
@@ -233,6 +169,11 @@ class SetAssocCache
     }
 
   private:
+    /** Way index meaning "not found" (see findInSet). */
+    static constexpr unsigned wayNone = ~0u;
+    /** Metadata word: (lastUse << 2) | kDirty | kValid. */
+    static constexpr std::uint64_t kValid = 1;
+    static constexpr std::uint64_t kDirty = 2;
 
     std::uint64_t numSets_;
     unsigned assoc_;
@@ -291,15 +232,24 @@ class SetAssocCache
         return set * stride_;
     }
 
-    /** Scan one set for a valid line holding @p key; way or wayNone.
-     *  The slab layout (a set's keys contiguous, then its metadata)
-     *  was built for this: the scan is one dispatch into the
-     *  vectorized probe over the key slab. */
+    /**
+     * Scan one set for a valid line holding @p key: its way, or
+     * wayNone.  A plain loop over the set's contiguous keys;
+     * moveToFront keeps the set's most recently touched line in way
+     * 0, so a repeat hit ends the loop at its first compare.
+     */
     unsigned
     findInSet(std::size_t base, std::uint64_t key) const
     {
-        return scanWays(&slab_[base], &slab_[base + assoc_], assoc_,
-                        key);
+        const std::uint64_t *keys = &slab_[base];
+        const std::uint64_t *meta = keys + assoc_;
+        for (unsigned w = 0; w < assoc_; ++w) {
+            // Keys of invalid lines are stale, so the (rare) tag
+            // match still has to check the valid bit.
+            if (keys[w] == key && (meta[w] & kValid))
+                return w;
+        }
+        return wayNone;
     }
 
     /**

@@ -34,37 +34,6 @@ Rng::boundPanic()
 }
 
 void
-Rng::setupBoundMemo(std::uint64_t bound)
-{
-    // Granlund & Montgomery round-up reciprocal, as implemented by
-    // libdivide's u64 path: floor(r / bound) for every 64-bit r is
-    // mulhi(magic, r) (>> shift), with an add-fixup when the magic
-    // would need 65 bits.  bound is non-zero and not a power of two
-    // here (those take the mask path in nextBounded).
-    memoBound_ = bound;
-    memoThreshold_ = -bound % bound;
-
-    const unsigned fl =
-        63 - static_cast<unsigned>(__builtin_clzll(bound));
-    const unsigned __int128 num = static_cast<unsigned __int128>(1)
-                                  << (64 + fl);
-    std::uint64_t proposed_m = static_cast<std::uint64_t>(num / bound);
-    const std::uint64_t rem = static_cast<std::uint64_t>(num % bound);
-    const std::uint64_t e = bound - rem;
-    if (e < (std::uint64_t{1} << fl)) {
-        memoAdd_ = false;
-    } else {
-        proposed_m += proposed_m;
-        const std::uint64_t twice_rem = rem + rem;
-        if (twice_rem >= bound || twice_rem < rem)
-            ++proposed_m;
-        memoAdd_ = true;
-    }
-    memoMagic_ = proposed_m + 1;
-    memoShift_ = fl;
-}
-
-void
 Rng::rangePanic()
 {
     panic("Rng::nextRange: hi < lo");

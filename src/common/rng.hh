@@ -47,7 +47,11 @@ class Rng
         return result;
     }
 
-    /** Uniform integer in [0, bound). bound must be non-zero. */
+    /**
+     * Uniform integer in [0, bound). bound must be non-zero.  Draws
+     * by threshold rejection and r % bound; a power-of-two bound
+     * takes the equivalent mask.
+     */
     std::uint64_t
     nextBounded(std::uint64_t bound)
     {
@@ -58,18 +62,13 @@ class Rng
         // divisions vanish while every draw stays identical.
         if ((bound & (bound - 1)) == 0)
             return next() & (bound - 1);
-        // Rejection to remove modulo bias.  Call sites draw the same
-        // bound over and over (region sizes, instruction gaps), so a
-        // one-entry memo caches the rejection threshold and a
-        // Granlund-Montgomery reciprocal that turns the per-draw
-        // 64-bit modulo into a multiply (exactly r % bound, without
-        // the hardware divide).
-        if (bound != memoBound_)
-            setupBoundMemo(bound);
+        // Rejection to remove modulo bias: redraw the values below
+        // 2^64 mod bound, so every residue has equal weight.
+        const std::uint64_t threshold = -bound % bound;
         while (true) {
             const std::uint64_t r = next();
-            if (r >= memoThreshold_)
-                return r - memoQuotient(r) * bound;
+            if (r >= threshold)
+                return r % bound;
         }
     }
 
@@ -122,32 +121,6 @@ class Rng
     std::uint64_t s_[4];
     bool haveSpare_ = false;
     double spare_ = 0.0;
-    /**
-     * One-entry memo for nextBounded: rejection threshold plus a
-     * Granlund-Montgomery magic reciprocal (libdivide's u64 scheme)
-     * giving exact floor(r / bound) by multiplication.
-     */
-    std::uint64_t memoBound_ = 0;
-    std::uint64_t memoThreshold_ = 0;
-    std::uint64_t memoMagic_ = 0;
-    unsigned memoShift_ = 0;
-    bool memoAdd_ = false;
-
-    /** Fill the bound memo (cold path; one 128/64 division). */
-    void setupBoundMemo(std::uint64_t bound);
-
-    /** Exact floor(r / memoBound_) via the memoized reciprocal. */
-    std::uint64_t
-    memoQuotient(std::uint64_t r) const
-    {
-        std::uint64_t q = static_cast<std::uint64_t>(
-            (static_cast<unsigned __int128>(memoMagic_) * r) >> 64);
-        if (memoAdd_) {
-            const std::uint64_t t = ((r - q) >> 1) + q;
-            return t >> memoShift_;
-        }
-        return q >> memoShift_;
-    }
 
     static std::uint64_t
     rotl(std::uint64_t x, int k)

@@ -6,13 +6,11 @@
 
 namespace toleo {
 
-Channel::Channel(std::string name, double bandwidth_gbps,
-                 double base_latency_ns)
-    : name_(std::move(name)), bandwidthGBps_(bandwidth_gbps),
-      baseLatencyNs_(base_latency_ns)
+Channel::Channel(double bandwidth_gbps, double base_latency_ns)
+    : bandwidthGBps_(bandwidth_gbps), baseLatencyNs_(base_latency_ns)
 {
     if (bandwidth_gbps <= 0.0)
-        panic("Channel %s: non-positive bandwidth", name_.c_str());
+        panic("Channel: non-positive bandwidth");
 }
 
 void
@@ -26,7 +24,7 @@ void
 Channel::endEpoch(double epoch_ns)
 {
     if (epoch_ns <= 0.0)
-        panic("Channel %s: non-positive epoch", name_.c_str());
+        panic("Channel: non-positive epoch");
 
     // bandwidth GB/s == bytes/ns.
     const double capacity = bandwidthGBps_ * epoch_ns;

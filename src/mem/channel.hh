@@ -16,7 +16,6 @@
 #define TOLEO_MEM_CHANNEL_HH
 
 #include <cstdint>
-#include <string>
 
 #include "common/types.hh"
 
@@ -26,12 +25,10 @@ class Channel
 {
   public:
     /**
-     * @param name Channel name for reporting.
      * @param bandwidth_gbps Peak bandwidth in GB/s.
      * @param base_latency_ns Unloaded (zero-load) access latency.
      */
-    Channel(std::string name, double bandwidth_gbps,
-            double base_latency_ns);
+    Channel(double bandwidth_gbps, double base_latency_ns);
 
     /** Account bytes transferred in the current epoch. */
     void addTraffic(std::uint64_t bytes);
@@ -67,11 +64,9 @@ class Channel
     double utilization() const { return lastUtilization_; }
 
     std::uint64_t totalBytes() const { return totalBytes_; }
-    const std::string &name() const { return name_; }
     void resetStats();
 
   private:
-    std::string name_;
     double bandwidthGBps_;
     double baseLatencyNs_;
 

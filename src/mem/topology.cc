@@ -24,16 +24,14 @@ hashPage(PageNum page)
 
 MemTopology::MemTopology(const MemTopologyConfig &cfg)
     : cfg_(cfg),
-      cxlPool_("cxl_pool", cfg.cxlPoolBandwidthGBps,
-               ddrLatencyNs + cxlPoolLatencyNs),
-      toleoLink_("toleo_link", cfg.toleoLinkBandwidthGBps,
+      cxlPool_(cfg.cxlPoolBandwidthGBps, ddrLatencyNs + cxlPoolLatencyNs),
+      toleoLink_(cfg.toleoLinkBandwidthGBps,
                  toleoLinkLatencyNs + toleoDramLatencyNs)
 {
     if (cfg.ddrChannels == 0)
         panic("MemTopology: at least one DDR channel required");
     for (unsigned c = 0; c < cfg.ddrChannels; ++c)
-        ddr_.emplace_back("ddr" + std::to_string(c),
-                          cfg.ddrBandwidthGBps, ddrLatencyNs);
+        ddr_.emplace_back(cfg.ddrBandwidthGBps, ddrLatencyNs);
 
     const double ddr_bw = cfg.ddrChannels * cfg.ddrBandwidthGBps;
     poolFraction_ =

@@ -105,7 +105,6 @@ class MemTopology
     /** Max over channels of the time needed to drain this epoch. */
     double requiredEpochNs() const;
 
-    const Channel &ddr(unsigned ch) const { return ddr_[ch]; }
     const Channel &cxlPool() const { return cxlPool_; }
     const Channel &toleoLink() const { return toleoLink_; }
     unsigned numDdrChannels() const { return ddr_.size(); }

@@ -727,16 +727,23 @@ printConfig(const SystemConfig &cfg, std::ostream &os)
     constexpr Cycles l2Latency = 14;
     constexpr Cycles l3Latency = 49;
 
+    // MB when the size is a whole number of MiB (Table 3's node),
+    // KB otherwise (a scaled node's 64 KB L2).
+    const auto mbOrKb = [](std::uint64_t bytes) {
+        return bytes % MiB == 0 ? std::to_string(bytes / MiB) + " MB"
+                                : std::to_string(bytes / KiB) + " KB";
+    };
+
     const auto &cc = cfg.caches;
     const auto &mm = cfg.mem;
     os << "Processor        " << coreClockGhz << " GHz, "
        << cfg.numCores << " cores (base IPC " << baseIpc << ")\n"
        << "L1-I/D cache     " << cc.l1Bytes / KiB << " KB per core, "
        << cc.l1Assoc << "-way, " << l1Latency << " cycles, LRU\n"
-       << "L2 cache         " << cc.l2Bytes / MiB << " MB per core, "
+       << "L2 cache         " << mbOrKb(cc.l2Bytes) << " per core, "
        << cc.l2Assoc << "-way, " << l2Latency << " cycles, LRU\n"
-       << "L3 cache         " << cc.l3SliceBytes / MiB
-       << " MB shared by every " << cc.coresPerL3Slice << " cores, "
+       << "L3 cache         " << mbOrKb(cc.l3SliceBytes)
+       << " shared by every " << cc.coresPerL3Slice << " cores, "
        << cc.l3Assoc << "-way, " << l3Latency << " cycles, LRU\n"
        << "DRAM             DDR4-3200, " << mm.ddrChannels
        << " channels x " << mm.ddrBandwidthGBps << " GB/s, "

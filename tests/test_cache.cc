@@ -96,6 +96,27 @@ TEST(SetAssocCache, MarkDirtyOnResident)
     EXPECT_FALSE(c.markDirtyIfPresent(99));
 }
 
+TEST(SetAssocCache, StaleKeyOnInvalidatedMruLineMisses)
+{
+    // One full 8-way set.  Invalidating the MRU key leaves that key
+    // in its way with a cleared metadata word, so the tag probe must
+    // check the valid bit, and invalidate must drop the MRU shortcut.
+    SetAssocCache c(1, 8);
+    for (std::uint64_t k = 5; k <= 12; ++k)
+        c.access(k, false);
+    c.access(7, true);
+    EXPECT_TRUE(c.invalidate(7));
+    EXPECT_FALSE(c.contains(7));
+    EXPECT_TRUE(c.contains(11));
+
+    const std::uint64_t misses = c.misses();
+    const auto r = c.access(7, false);
+    EXPECT_FALSE(r.hit);
+    EXPECT_EQ(c.misses(), misses + 1);
+    EXPECT_FALSE(r.writebackTag.has_value());
+    EXPECT_EQ(c.writebacks(), 0u);
+}
+
 TEST(SetAssocCache, HitRateMath)
 {
     SetAssocCache c(16, 4);

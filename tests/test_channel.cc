@@ -11,13 +11,13 @@ using namespace toleo;
 
 TEST(Channel, ZeroLoadLatencyIsBase)
 {
-    Channel ch("t", 25.6, 60.0);
+    Channel ch(25.6, 60.0);
     EXPECT_DOUBLE_EQ(ch.latencyNs(), 60.0);
 }
 
 TEST(Channel, IdleEpochKeepsBaseLatency)
 {
-    Channel ch("t", 25.6, 60.0);
+    Channel ch(25.6, 60.0);
     ch.endEpoch(1000.0);
     EXPECT_DOUBLE_EQ(ch.utilization(), 0.0);
     EXPECT_DOUBLE_EQ(ch.latencyNs(), 60.0);
@@ -25,7 +25,7 @@ TEST(Channel, IdleEpochKeepsBaseLatency)
 
 TEST(Channel, UtilizationComputedFromTraffic)
 {
-    Channel ch("t", 10.0, 50.0); // 10 bytes/ns
+    Channel ch(10.0, 50.0); // 10 bytes/ns
     ch.addTraffic(5000);
     ch.endEpoch(1000.0); // capacity 10000 B -> u = 0.5
     EXPECT_NEAR(ch.utilization(), 0.5, 1e-9);
@@ -33,7 +33,7 @@ TEST(Channel, UtilizationComputedFromTraffic)
 
 TEST(Channel, QueueDelayGrowsWithLoad)
 {
-    Channel a("a", 10.0, 50.0), b("b", 10.0, 50.0);
+    Channel a(10.0, 50.0), b(10.0, 50.0);
     a.addTraffic(2000);
     b.addTraffic(9000);
     a.endEpoch(1000.0);
@@ -44,7 +44,7 @@ TEST(Channel, QueueDelayGrowsWithLoad)
 
 TEST(Channel, UtilizationIsCapped)
 {
-    Channel ch("t", 10.0, 50.0);
+    Channel ch(10.0, 50.0);
     ch.addTraffic(1000000); // 100x capacity
     ch.endEpoch(1000.0);
     EXPECT_LE(ch.utilization(), 0.95);
@@ -53,7 +53,7 @@ TEST(Channel, UtilizationIsCapped)
 
 TEST(Channel, TotalBytesAccumulateAcrossEpochs)
 {
-    Channel ch("t", 10.0, 50.0);
+    Channel ch(10.0, 50.0);
     ch.addTraffic(100);
     ch.endEpoch(10.0);
     ch.addTraffic(200);
@@ -63,7 +63,7 @@ TEST(Channel, TotalBytesAccumulateAcrossEpochs)
 
 TEST(Channel, ResetStatsClears)
 {
-    Channel ch("t", 10.0, 50.0);
+    Channel ch(10.0, 50.0);
     ch.addTraffic(100);
     ch.endEpoch(10.0);
     ch.resetStats();

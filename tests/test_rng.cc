@@ -157,9 +157,9 @@ TEST(Zipf, HigherThetaIsMoreSkewed)
 
 TEST(Rng, BoundedMatchesPlainRejectionModulo)
 {
-    // nextBounded's fast paths (power-of-two mask, memoized
-    // Granlund-Montgomery reciprocal) must reproduce the plain
-    // threshold-rejection + modulo algorithm draw for draw.
+    // nextBounded must reproduce the plain threshold-rejection +
+    // modulo algorithm draw for draw: a power-of-two bound takes a
+    // mask in its place, and every other bound runs it directly.
     const std::uint64_t bounds[] = {
         1,       2,          3,     7,      9,    64,   100,
         1000,    4096,       12289, 786432, 1u << 20,
@@ -181,7 +181,8 @@ TEST(Rng, BoundedMatchesPlainRejectionModulo)
             }
             ASSERT_EQ(got, want) << "bound=" << bound << " i=" << i;
         }
-        // Interleaving different bounds exercises the memo reload.
+        // Interleaving different bounds: no draw depends on the
+        // previous bound.
         ASSERT_EQ(fast.nextBounded(3), [&] {
             for (;;) {
                 const std::uint64_t r = ref.next();
@@ -225,8 +226,8 @@ TEST(RngPinned, BoundedPow2PathSeed42)
 
 TEST(RngPinned, BoundedReciprocalPathSeed42)
 {
-    // 12289 is not a power of two: the memoized Granlund-Montgomery
-    // reciprocal path.
+    // 12289 is not a power of two: the threshold-rejection + modulo
+    // path.
     Rng r(42);
     const std::uint64_t want[] = {
         9763ull, 4472ull, 2417ull, 2325ull, 5823ull, 11398ull,

@@ -65,7 +65,7 @@ TEST(ScaledConfig, HierarchyIsWellOrdered)
 
 TEST(ThroughputFloor, RequiredNsMatchesArithmetic)
 {
-    Channel ch("t", 10.0, 50.0); // 10 B/ns
+    Channel ch(10.0, 50.0); // 10 B/ns
     ch.addTraffic(5000);
     EXPECT_DOUBLE_EQ(ch.requiredNs(), 500.0);
     EXPECT_EQ(ch.pendingBytes(), 5000u);

@@ -315,7 +315,7 @@ TEST(System, ConfigPrinterMentionsKeyParts)
     EXPECT_EQ(printed(makeScaledConfig("bsw", EngineKind::Toleo, 8)),
               "Processor        2.25 GHz, 8 cores (base IPC 1.25)\n"
               "L1-I/D cache     16 KB per core, 8-way, 4 cycles, LRU\n"
-              "L2 cache         0 MB per core, 16-way, 14 cycles, LRU\n"
+              "L2 cache         64 KB per core, 16-way, 14 cycles, LRU\n"
               "L3 cache         1 MB shared by every 8 cores, 16-way, "
               "49 cycles, LRU\n"
               "DRAM             DDR4-3200, 1 channels x 19.2 GB/s, "

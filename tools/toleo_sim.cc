@@ -2,7 +2,7 @@
  * @file
  * toleo_sim: the parallel sweep driver.
  *
- * Replaces serially running the 20 bench/ figure binaries when all
+ * Replaces serially running the 18 bench/ figure binaries when all
  * you want is the raw numbers: evaluates a (workload x engine) grid,
  * fanning the cells out to worker threads (each cell's toleo::System
  * is self-contained), and emits the full SimStats record for every
