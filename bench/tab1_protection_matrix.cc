@@ -38,7 +38,7 @@ main()
     std::vector<std::unique_ptr<ProtectionEngine>> engines;
     engines.push_back(
         std::make_unique<MerkleTreeEngine>(topo, client_sgx));
-    engines.push_back(std::make_unique<CiEngine>(topo, CiConfig{}));
+    engines.push_back(std::make_unique<CiEngine>(topo, CiConfig{}, true));
     engines.push_back(
         std::make_unique<ToleoEngine>(topo, dev, CiConfig{},
                                       StealthCacheConfig{}));

@@ -21,6 +21,7 @@
  *     ./build/examples/rack_scale
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -125,10 +126,12 @@ main()
         rc.nodes.push_back(sc);
     }
     rc.device = rc.nodes[0].device;
-    // Provision the device's version-store pipeline at exactly one
-    // node link's worth of bandwidth: enough that any node alone is
+    // Provision the device's version-store pipeline at exactly the
+    // fastest node link's bandwidth: enough that any node alone is
     // never throttled, so everything below is pure sharing cost.
-    rc.serviceFactor = 1.0;
+    for (const SystemConfig &sc : rc.nodes)
+        rc.deviceServiceGBps = std::max(rc.deviceServiceGBps,
+                                        sc.mem.toleoLinkBandwidthGBps);
     rc.warmupRefs = 20000;
     rc.measureRefs = 40000;
 

@@ -17,11 +17,10 @@ constexpr double macFetchSerialization = 0.45;
 } // namespace
 
 CiEngine::CiEngine(MemTopology &topo, const CiConfig &cfg,
-                   std::string name)
+                   bool integrity, std::string name)
     : ProtectionEngine(
-          name.empty() ? (cfg.integrity ? "CI" : "C") : std::move(name),
-          topo),
-      cfg_(cfg),
+          name.empty() ? (integrity ? "CI" : "C") : std::move(name), topo),
+      integrity_(integrity),
       macCache_(SetAssocCache::fromCapacity(cfg.macCacheBytes, blockSize,
                                             cfg.macCacheAssoc))
 {}
@@ -65,7 +64,7 @@ CiEngine::onRead(BlockNum blk)
     // only its latency (not throughput) shows on the critical path.
     cost.latencyNs += cyclesToNs(aesLatency);
 
-    if (cfg_.integrity) {
+    if (integrity_) {
         cost.latencyNs += macAccess(blk, false, cost);
         // MAC verification itself overlaps decryption on a hit; on a
         // miss its latency is folded into the serialization factor.
@@ -79,7 +78,7 @@ CiEngine::onWriteback(BlockNum blk)
     MetaCost cost;
 
     // Encryption of an evicted block is off the read critical path.
-    if (cfg_.integrity) {
+    if (integrity_) {
         // Read-modify-write of the MAC block (write allocate).
         macAccess(blk, true, cost);
     }

@@ -9,9 +9,10 @@
  *    MAC block stored alongside data (Figure 4) and cached in a 1 MB,
  *    16-way MAC cache (32 KB/core, Table 3).
  *
- * With integrity off this is the "C" configuration of Figure 9; with
- * it on it is "CI" (scalable SGX TME + integrity).  The Toleo engine
- * composes on top of this class.
+ * Without integrity this is the "C" configuration of Figure 9; with
+ * it, "CI" (scalable SGX TME + integrity).  The engine kind decides
+ * which: the System builds C without it, and CI and Toleo (which
+ * composes on top of this class) with it.
  */
 
 #ifndef TOLEO_SECMEM_CI_HH
@@ -24,7 +25,6 @@ namespace toleo {
 
 struct CiConfig
 {
-    bool integrity = true;
     std::uint64_t macCacheBytes = 1 * MiB;
     unsigned macCacheAssoc = 16;
 };
@@ -32,14 +32,16 @@ struct CiConfig
 class CiEngine : public ProtectionEngine
 {
   public:
-    CiEngine(MemTopology &topo, const CiConfig &cfg,
+    /** C without @p integrity, CI with it; a composing engine passes
+     *  its own @p name. */
+    CiEngine(MemTopology &topo, const CiConfig &cfg, bool integrity,
              std::string name = "");
 
     MetaCost onRead(BlockNum blk) override;
     MetaCost onWriteback(BlockNum blk) override;
 
     bool confidentiality() const override { return true; }
-    bool integrity() const override { return cfg_.integrity; }
+    bool integrity() const override { return integrity_; }
     bool freshness() const override { return false; }
     bool fullMemory() const override { return true; }
 
@@ -50,7 +52,7 @@ class CiEngine : public ProtectionEngine
     const SetAssocCache &macCache() const { return macCache_; }
 
   protected:
-    CiConfig cfg_;
+    bool integrity_;
     /** Keyed by MAC-block number: eight data blocks per MAC block. */
     SetAssocCache macCache_;
 

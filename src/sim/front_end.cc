@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "sim/intra_pool.hh"
-#include "toleo/trip.hh"
 
 namespace toleo {
 
@@ -27,7 +26,7 @@ CoreFront::CoreFront(std::unique_ptr<TraceGen> gen, PrivateCaches &caches)
 }
 
 void
-CoreFront::stage(std::uint64_t rounds, bool completions)
+CoreFront::stage(std::uint64_t rounds)
 {
     // Pull the probed L1/L2 set blocks a few references ahead of the
     // access loop; the draws below give the addresses up front.
@@ -46,8 +45,7 @@ CoreFront::stage(std::uint64_t rounds, bool completions)
         const PrivateAccessResult priv =
             caches_->access(blockOf(ref.addr), ref.isWrite);
         // A request ends after its last reference retires.
-        const std::uint64_t done =
-            completions && ref.endsRequest ? insts : 0;
+        const std::uint64_t done = ref.endsRequest ? insts : 0;
         if (priv.needsShared() || done) {
             queue[n].round = static_cast<std::uint32_t>(k);
             queue[n].priv = priv;
@@ -98,8 +96,6 @@ FrontEnd::beginRun(std::uint64_t warmupRefs, std::uint64_t measureRefs)
     runGlobalRefs_ = 0;
     runEpochMark_ = 0;
     runPhaseRefs_ = 0;
-    runSampleEvery_ =
-        std::max<std::uint64_t>(1, measureRefs / timelinePoints);
     runMeasuring_ = false;
     runActive_ = true;
     plan_.clear();
@@ -150,41 +146,21 @@ FrontEnd::planEpoch()
         }
     }
 
-    // Measurement phase: batches run until the earliest of the next
-    // epoch boundary, the next timeline-sample round, and one full
-    // batch, so neither condition is tested inside the per-reference
-    // loop.
+    // Measurement phase: batches run until the earlier of the next
+    // epoch boundary and one full batch, so the boundary is not
+    // tested inside the per-reference loop.
     while (runPhaseRefs_ < runMeasureRefs_) {
-        std::uint64_t chunk =
+        const std::uint64_t chunk =
             std::min({runMeasureRefs_ - runPhaseRefs_, roundsToEpoch(),
                       batchRounds});
-        bool sample_due = false;
-        if (params_.samples) {
-            // Next round index ending in a timeline sample.
-            const std::uint64_t next_sample =
-                (runPhaseRefs_ + runSampleEvery_ - 1) /
-                runSampleEvery_ * runSampleEvery_;
-            if (next_sample < runMeasureRefs_ &&
-                next_sample - runPhaseRefs_ + 1 <= chunk) {
-                chunk = next_sample - runPhaseRefs_ + 1;
-                sample_due = true;
-            }
-        }
         plan_.push_back({EpochPlanItem::Kind::Run, true, chunk});
         runGlobalRefs_ += chunk * numCores();
         runPhaseRefs_ += chunk;
-        bool fired = false;
         if (runGlobalRefs_ - runEpochMark_ >= params_.epochRefs) {
             plan_.push_back({EpochPlanItem::Kind::Boundary, false, 0});
             runEpochMark_ = runGlobalRefs_;
-            fired = true;
-        }
-        // Order matters: a sample due on a boundary round records
-        // *after* the boundary.
-        if (sample_due)
-            plan_.push_back({EpochPlanItem::Kind::Sample, false, 0});
-        if (fired)
             return true;
+        }
     }
 
     // Window exhausted: close the final (possibly partial) epoch and
@@ -231,28 +207,23 @@ FrontEnd::runItemPrivate(EpochPlanItem &item)
     switch (item.kind) {
       case EpochPlanItem::Kind::Run:
         item.begin = staged_.size();
-        stageRounds(item.rounds, item.measuring);
+        stageRounds(item.rounds);
         item.end = staged_.size();
         break;
       case EpochPlanItem::Kind::Reset:
         // The per-core half, at the reset's position in the private
-        // pass: the instruction clocks feed completion staging.
+        // pass: the instruction clocks feed request-end staging.
         for (CoreFront &core : cores_)
             core.resetMeasurement();
         break;
       case EpochPlanItem::Kind::Boundary:
         // Entirely shared work.
         break;
-      case EpochPlanItem::Kind::Sample:
-        // The instruction clocks run ahead of the replay, so read
-        // them now; the shared half reads the rest.
-        item.insts = insts();
-        break;
     }
 }
 
 void
-FrontEnd::stageRounds(std::uint64_t rounds, bool measuring)
+FrontEnd::stageRounds(std::uint64_t rounds)
 {
     const unsigned n = numCores();
     const double t0 = phaseClockNs(params_.phaseTimers);
@@ -260,16 +231,14 @@ FrontEnd::stageRounds(std::uint64_t rounds, bool measuring)
     // Per-generator draw order and per-cache operation sequences are
     // those of a one-reference-at-a-time loop, and a CoreFront
     // reaches no other core's state, so running cores concurrently
-    // cannot reorder anything observable.  Warmup requests are
-    // ignored, so their completions are not staged.
-    const bool completions = params_.serving && measuring;
+    // cannot reorder anything observable.
     if (pool_) {
-        pool_->run(n, [this, rounds, completions](unsigned c) {
-            cores_[c].stage(rounds, completions);
+        pool_->run(n, [this, rounds](unsigned c) {
+            cores_[c].stage(rounds);
         });
     } else {
         for (CoreFront &core : cores_)
-            core.stage(rounds, completions);
+            core.stage(rounds);
     }
 
     // An n-way merge on the round index of the round-ordered queues,

@@ -6,16 +6,20 @@
  * A FrontEnd owns one CoreFront per core (its generator, L1/L2,
  * instruction clock and batch buffers), the epoch planner and the
  * staged log.  It holds no reference to the L3, the topology, the
- * engine, the device, the serving overlay or the stats, and this
- * file includes nothing from mem/, secmem/ or toleo/, so whatever
- * runs it concurrently (the intra pool, one CoreFront per body; the
- * rack pool, one FrontEnd per body) cannot write shared state.  The
- * System constructor is the one place that hands a front end
- * anything: its hierarchy's per-core caches, and the generators it
- * builds (a synthetic or replay generator, optionally wrapped in a
- * RequestSource), each of which writes only its own state.  A
- * capture draws the generators outside any System (captureTrace in
- * workload/trace_file.hh), so no front end writes a file.
+ * engine, the device, the serving overlay or the stats, and neither
+ * this file nor front_end.cc includes anything from mem/, secmem/ or
+ * toleo/, so whatever runs it concurrently (the intra pool, one
+ * CoreFront per body; the rack pool, one FrontEnd per body) cannot
+ * write shared state.  It takes no engine or arrival input either:
+ * its plan and its staged log are functions of the streams, the
+ * window and the epoch size alone, so every engine's System stages
+ * the same log.  The System constructor is the one place that hands
+ * a front end anything: its hierarchy's per-core caches, and the
+ * generators it builds (a synthetic or replay generator, optionally
+ * wrapped in a RequestSource), each of which writes only its own
+ * state.  A capture draws the generators outside any System
+ * (captureTrace in workload/trace_file.hh), so no front end writes a
+ * file.
  */
 
 #ifndef TOLEO_SIM_FRONT_END_HH
@@ -42,11 +46,11 @@ constexpr std::uint64_t batchRounds = 256;
 
 /**
  * One unit of epoch execution.  The epoch control flow (batch
- * sizing, the warmup->measure transition, epoch boundaries,
- * timeline samples) depends only on the planner's run counters,
- * never on simulated state, so FrontEnd::planEpoch() emits an
- * epoch's items ahead.  Each item has a private half (the
- * FrontEnd's) and a shared half (the System's replay).
+ * sizing, the warmup->measure transition, epoch boundaries) depends
+ * only on the planner's run counters, never on simulated state, so
+ * FrontEnd::planEpoch() emits an epoch's items ahead.  Each item has
+ * a private half (the FrontEnd's) and a shared half (the System's
+ * replay).
  */
 struct EpochPlanItem
 {
@@ -55,11 +59,11 @@ struct EpochPlanItem
         Run,      ///< one batch: staged rounds + their replay
         Reset,    ///< measurement reset (warmup -> measure)
         Boundary, ///< close the traffic epoch
-        Sample,   ///< record one usage-timeline point
     };
     Kind kind = Kind::Run;
     /** Run only: the planner's measuring flag for this batch (the
-     *  live flag runs ahead). */
+     *  live flag runs ahead); the System counts request ends only in
+     *  measured batches. */
     bool measuring = false;
     /** Run only: rounds in the batch, at most batchRounds. */
     std::uint64_t rounds = 0;
@@ -67,20 +71,18 @@ struct EpochPlanItem
      *  [begin, end) of the staged log. */
     std::size_t begin = 0;
     std::size_t end = 0;
-    /** Sample only, set by the private half: retired instructions. */
-    std::uint64_t insts = 0;
 };
 
 /** One (round, core) step of the staged log: that core's shared
- *  event (L3/memory/engine, when priv.needsShared()), its measured
- *  request completion (doneInsts != 0), or both. */
+ *  event (L3/memory/engine, when priv.needsShared()), its request
+ *  end (doneInsts != 0), or both. */
 struct StagedStep
 {
     std::uint32_t core;
     Addr addr;
     PrivateAccessResult priv;
-    /** Retired insts at the completion, or 0 for none (a completion
-     *  retires at least its own reference). */
+    /** Retired insts at the request end, or 0 for none (a request
+     *  end retires at least its own reference). */
     std::uint64_t doneInsts;
 };
 
@@ -94,10 +96,10 @@ class CoreFront
     /**
      * One batch of @p rounds (<= batchRounds) references: the
      * generator draw and the L1/L2 accesses, queueing each
-     * reference's shared work and, when @p completions, the retired
-     * instructions at every MemRef::endsRequest.
+     * reference's shared work and the retired instructions at every
+     * MemRef::endsRequest.
      */
-    void stage(std::uint64_t rounds, bool completions);
+    void stage(std::uint64_t rounds);
 
     /** Move the queued step of round @p k, if any, to @p log. */
     void
@@ -137,8 +139,6 @@ class CoreFront
 struct FrontEndParams
 {
     std::uint64_t epochRefs = 16384; ///< global refs per epoch
-    bool samples = false;            ///< plan samples (a Toleo run)
-    bool serving = false;            ///< stage request completions
     unsigned intraThreads = 1;       ///< caller included
     bool phaseTimers = false;        ///< accumulate privateNs()
 };
@@ -207,7 +207,6 @@ class FrontEnd
     std::uint64_t runEpochMark_ = 0;
     /** Rounds completed within the current phase (warmup/measure). */
     std::uint64_t runPhaseRefs_ = 0;
-    std::uint64_t runSampleEvery_ = 1;
     bool runMeasuring_ = false;
     bool runActive_ = false;
 
@@ -219,17 +218,15 @@ class FrontEnd
     double privateNs_ = 0.0;
 
     std::uint64_t roundsToEpoch() const;
-    /** Stage one item into staged_, recording its slice (Run) or
-     *  insts (Sample). */
+    /** Stage one item into staged_, recording a Run item's slice. */
     void runItemPrivate(EpochPlanItem &item);
     /**
      * One batch of @p rounds rounds: every core's stage(), then a
      * merge of the per-core queues into staged_ in the round-robin
      * order of a one-reference-at-a-time loop.  The planner sizes
-     * @p rounds so no boundary or sample falls inside; completions
-     * are staged only while @p measuring an open-loop run.
+     * @p rounds so no boundary falls inside.
      */
-    void stageRounds(std::uint64_t rounds, bool measuring);
+    void stageRounds(std::uint64_t rounds);
 };
 
 } // namespace toleo

@@ -11,6 +11,15 @@
 
 namespace toleo {
 
+namespace {
+
+/** The auto service bandwidth in fastest-node links: at least one,
+ *  so a lone node never backlogs, and under two, so two nodes
+ *  bursting at once contend. */
+constexpr double autoServiceFactor = 1.5;
+
+} // namespace
+
 RackConfig
 makeRackConfig(unsigned nodes, const SystemConfig &base)
 {
@@ -38,7 +47,7 @@ runRack(const RackConfig &cfg)
             std::max(maxLinkGBps, sc.mem.toleoLinkBandwidthGBps);
     const double service = cfg.deviceServiceGBps > 0.0
                                ? cfg.deviceServiceGBps
-                               : cfg.serviceFactor * maxLinkGBps;
+                               : autoServiceFactor * maxLinkGBps;
     // Every node's own epoch already stretches to drain its link
     // (System's bandwidth floor), so epoch traffic never exceeds
     // linkGBps * epochNs.  Service >= the fastest link therefore

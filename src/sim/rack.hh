@@ -53,12 +53,11 @@ struct RackConfig
     /**
      * Version-store service bandwidth of the shared device (its
      * controller + HMC2 DRAM draining the per-node IDE links),
-     * GB/s.  0 selects auto: serviceFactor x the fastest node link,
-     * so a lone node can never out-run the device (the 1-node
-     * bit-identity invariant) while N bursting nodes contend.
+     * GB/s.  0 selects auto: 1.5x the fastest node link, so a lone
+     * node can never out-run the device (the 1-node bit-identity
+     * invariant) while N bursting nodes contend.
      */
     double deviceServiceGBps = 0.0;
-    double serviceFactor = 1.5;
 
     /** Per-core warmup / measured references, as in System::run. */
     std::uint64_t warmupRefs = 30000;

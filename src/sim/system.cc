@@ -24,6 +24,9 @@ constexpr double baseIpc = 1.25;
 const SystemConfig &
 checked(const SystemConfig &cfg)
 {
+    if (cfg.caches.numCores != cfg.numCores)
+        throw std::invalid_argument(
+            "System: caches.numCores differs from numCores");
     if (cfg.arrival.open()) {
         if (!std::isfinite(cfg.arrival.ratePerSec) ||
             cfg.arrival.ratePerSec <= 0.0)
@@ -99,30 +102,20 @@ engineKindName(EngineKind kind)
 }
 
 System::System(const SystemConfig &cfg)
-    : cfg_(checked(cfg)), topo_(cfg.mem),
-      hierarchy_([&] {
-          CacheHierarchyConfig c = cfg.caches;
-          c.numCores = cfg.numCores;
-          return c;
-      }()),
+    : cfg_(checked(cfg)), topo_(cfg.mem), hierarchy_(cfg.caches),
       winfo_(workloadInfo(cfg.workload)),
       front_(coreFronts(cfg, winfo_, hierarchy_),
-             // Only a Toleo run has a device for Fig 12 to sample.
-             {cfg.epochRefs, cfg.engine == EngineKind::Toleo,
-              cfg.arrival.open(), cfg.intraThreads, cfg.phaseTimers})
+             {cfg.epochRefs, cfg.intraThreads, cfg.phaseTimers})
 {
     switch (cfg.engine) {
       case EngineKind::NoProtect:
         engine_ = std::make_unique<NoProtectEngine>(topo_);
         break;
-      case EngineKind::C: {
-        CiConfig c = cfg.ci;
-        c.integrity = false;
-        engine_ = std::make_unique<CiEngine>(topo_, c);
+      case EngineKind::C:
+        engine_ = std::make_unique<CiEngine>(topo_, cfg.ci, false);
         break;
-      }
       case EngineKind::CI:
-        engine_ = std::make_unique<CiEngine>(topo_, cfg.ci);
+        engine_ = std::make_unique<CiEngine>(topo_, cfg.ci, true);
         break;
       case EngineKind::Toleo: {
         // Rack mode borrows one device shared across nodes; the
@@ -235,8 +228,8 @@ System::stepShared(unsigned core, Addr addr,
 void
 System::completeRequest(unsigned core, std::uint64_t instsAtDone)
 {
-    // Only measured request ends reach here (the front end stages none
-    // during warmup); the first after the stats reset only primes the
+    // Only a serving run's measured request ends reach here (see
+    // runItemShared); the first after the stats reset only primes the
     // service-time mark (the request it closes spans the reset, so
     // its duration is not a full request's).
     auto &sv = servCores_[core];
@@ -347,19 +340,11 @@ System::beginRun(std::uint64_t warmup_refs, std::uint64_t measure_refs)
 {
     front_.beginRun(warmup_refs, measure_refs);
     runLastEpochNs_ = 0.0;
-    runStats_ = SimStats{};
     if (serving_)
         resetServing();
     epochToleoBytes_ = 0;
     epochWallNs_ = 0.0;
     epochsCompleted_ = 0;
-}
-
-void
-System::recordTimelineSample(std::uint64_t insts)
-{
-    runStats_.usageTimeline.emplace_back(
-        insts, devp_->store().usageBytes(footprint_.size()));
 }
 
 void
@@ -369,17 +354,20 @@ System::runItemShared(const EpochPlanItem &item)
       case EpochPlanItem::Kind::Run: {
         const double t0 = phaseClockNs(cfg_.phaseTimers);
         // One pass over this batch's slice, in (round, core) order.
-        // A step's completion follows its own event, so that core's
+        // A step's request end follows its own event, so that core's
         // stall clock is final for that point in time; completeRequest
         // reads no other core's clock and stepShared no serving state,
         // so every shared structure and every serving sum sees the
-        // order of the one-reference-at-a-time loop.
+        // order of the one-reference-at-a-time loop.  The front end
+        // stages every request end; only a serving run's measured
+        // ones count (warmup requests are ignored).
+        const bool completions = serving_ && item.measuring;
         const std::vector<StagedStep> &staged = front_.staged();
         for (std::size_t i = item.begin; i < item.end; ++i) {
             const StagedStep &step = staged[i];
             if (step.priv.needsShared())
                 stepShared(step.core, step.addr, step.priv);
-            if (step.doneInsts)
+            if (completions && step.doneInsts)
                 completeRequest(step.core, step.doneInsts);
         }
         if (cfg_.phaseTimers)
@@ -392,9 +380,6 @@ System::runItemShared(const EpochPlanItem &item)
         break;
       case EpochPlanItem::Kind::Boundary:
         epochBoundary();
-        break;
-      case EpochPlanItem::Kind::Sample:
-        recordTimelineSample(item.insts);
         break;
     }
 }
@@ -443,7 +428,7 @@ SimStats
 System::finishRun()
 {
     // Collect the report.
-    SimStats out = std::move(runStats_);
+    SimStats out;
     out.workload = cfg_.workload;
     out.engine = engine_->name();
     out.instructions = front_.insts();
@@ -538,6 +523,7 @@ makeScaledConfig(const std::string &workload, EngineKind kind,
     cfg.workload = workload;
     cfg.engine = kind;
     cfg.numCores = cores;
+    cfg.caches.numCores = cores;
 
     // Caches scale so the 10^5-ref windows reach eviction steady
     // state; associativities and latencies stay at paper values.
@@ -611,15 +597,6 @@ statsToJson(const SimStats &stats)
     j["avgEntryBytesPerPage"] = u.avgEntryBytesPerPage;
     j["toleoResets"] = stats.toleoResets;
     j["toleoUpgrades"] = stats.toleoUpgrades;
-
-    Json timeline = Json::array();
-    for (const auto &sample : stats.usageTimeline) {
-        Json point = Json::array();
-        point.push_back(sample.first);
-        point.push_back(sample.second);
-        timeline.push_back(std::move(point));
-    }
-    j["usageTimeline"] = std::move(timeline);
     // Open-loop serving block: only present when the run actually
     // served, so closed-mode output stays byte-identical to the
     // goldens and the committed bench records.

@@ -7,8 +7,9 @@
  * engine.  Produces the statistics every table and figure of the
  * paper's evaluation is built from: execution time, LLC MPKI,
  * metadata cache hit rates, per-category memory traffic, read-latency
- * breakdown, Trip-format page classification, and Toleo space usage
- * over time.
+ * breakdown, and Trip-format page classification and space usage.
+ * Fig 12's usage over time comes from the cache-only analysis
+ * (sim/trip_analysis.hh), as in the paper.
  *
  * Timing model: cores retire instructions at a base IPC; each LLC
  * miss stalls its core for (memory latency + metadata latency) / MLP,
@@ -171,9 +172,6 @@ struct SimStats
      */
     TripStore::Usage usage;
 
-    /** (instructions, usage bytes) samples over time (Fig 12). */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> usageTimeline;
-
     std::uint64_t toleoResets = 0;
     std::uint64_t toleoUpgrades = 0;
 
@@ -254,13 +252,13 @@ class System
      * and shared halves, run in a different order.
      * stepEpochPrivate() runs the private half of every item of one
      * epoch -- generator draws, L1/L2 accesses, and staging each
-     * batch's L3/memory/engine events and the request completions
-     * its references flag into the staged log -- and leaves the rest
-     * of the shared work (the measurement reset, the epoch boundary,
-     * timeline samples, and every serving-overlay update) to the
-     * items' shared halves.  replayEpochShared() then runs every
-     * item's shared half single-threaded, touching the shared device
-     * in the same order stepEpoch() does.
+     * batch's L3/memory/engine events and the request ends its
+     * references flag into the staged log -- and leaves the rest of
+     * the shared work (the measurement reset, the epoch boundary, and
+     * every serving-overlay update) to the items' shared halves.
+     * replayEpochShared() then runs every item's shared half
+     * single-threaded, touching the shared device in the same order
+     * stepEpoch() does.
      *
      *   stepEpochPrivate(); replayEpochShared();
      *
@@ -380,9 +378,8 @@ class System
     std::uint64_t servRequests_ = 0;
     std::uint64_t servSloMet_ = 0;
 
-    /** Shared state of the in-flight run (see beginRun). */
+    /** Core time at the last epoch boundary of the in-flight run. */
     double runLastEpochNs_ = 0.0;
-    SimStats runStats_;
 
     /** Per-epoch observables for the rack arbiter. */
     std::uint64_t epochToleoBytes_ = 0;
@@ -390,7 +387,8 @@ class System
     std::uint64_t epochsCompleted_ = 0;
 
     /** Shared half of one plan item, read from what its private half
-     *  recorded. */
+     *  recorded.  It alone decides which staged request ends count:
+     *  those of a serving run's measured batches. */
     void runItemShared(const EpochPlanItem &item);
 
     /** Shared-state part of one reference: L3, memory, engine, and
@@ -410,11 +408,6 @@ class System
      *  serving accumulators, stall clocks); the front end resets
      *  L1/L2 and the instruction clocks in its own pass. */
     void resetMeasurementShared();
-    /** Append one usage-timeline point (Fig 12) at @p insts retired
-     *  instructions; reads the footprint and the store's dynamic
-     *  bytes live, which every earlier item's shared half has
-     *  updated by then. */
-    void recordTimelineSample(std::uint64_t insts);
     /** Close the current traffic epoch (padding, bandwidth floor). */
     void epochBoundary();
 };
@@ -428,8 +421,8 @@ void printConfig(const SystemConfig &cfg, std::ostream &os);
 
 /**
  * Serialize the full SimStats record to JSON, including the Trip
- * breakdown, per-TB usage, and the usage timeline — the
- * machine-readable substrate for sweep drivers and perf tracking.
+ * breakdown and per-TB usage — the machine-readable substrate for
+ * sweep drivers and perf tracking.
  */
 Json statsToJson(const SimStats &stats);
 

@@ -13,6 +13,9 @@ namespace {
 /** Associativity of the write-coalescing filter. */
 constexpr unsigned cacheAssoc = 16;
 
+/** Usage-timeline samples per run (Figure 12). */
+constexpr unsigned timelinePoints = 64;
+
 } // namespace
 
 TripAnalysisResult

@@ -11,7 +11,8 @@
  * models the RSS.  It is ~50x faster per reference than the timing
  * simulation, which is what lets format drift (uneven/full upgrades)
  * reach steady state the way the paper's 32-billion-instruction runs
- * do.
+ * do.  Its timeline is the one usage-over-time model (Figure 12);
+ * the timing System reports only the end-of-run usage.
  */
 
 #ifndef TOLEO_SIM_TRIP_ANALYSIS_HH

@@ -23,7 +23,7 @@ constexpr std::uint64_t updateResponseBytes = 16;
 ToleoEngine::ToleoEngine(MemTopology &topo, ToleoDevice &device,
                          const CiConfig &ci,
                          const StealthCacheConfig &stealth)
-    : CiEngine(topo, ci, "Toleo"), device_(device), scache_(stealth)
+    : CiEngine(topo, ci, true, "Toleo"), device_(device), scache_(stealth)
 {}
 
 void

@@ -40,9 +40,6 @@
 
 namespace toleo {
 
-/** Usage-timeline samples per run (Figure 12). */
-constexpr unsigned timelinePoints = 64;
-
 /** What happened inside the store on one version update. */
 struct TripUpdateResult
 {

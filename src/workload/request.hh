@@ -7,11 +7,11 @@
  * The closed-loop replay core stays untouched: a RequestSource
  * delegates every draw to the wrapped generator (addresses, stores and
  * gaps are bit-identical to the unwrapped stream) and only sets
- * MemRef::endsRequest.  The System stages a measured completion for
- * every flagged reference and runs the arrival process as a timing
- * overlay, so the `closed` arrival model is the degenerate case with
- * no wrapper at all, and every existing fixed-seed output is
- * trivially preserved.
+ * MemRef::endsRequest.  The front end stages every flagged reference;
+ * the System counts the measured ones of an open-loop run and runs
+ * the arrival process as a timing overlay, so the `closed` arrival
+ * model is the degenerate case with no wrapper at all, and every
+ * existing fixed-seed output is trivially preserved.
  *
  * Request ends come from the generator when it is request-shaped
  * (RequestShapedGen: kvs/nat/bm25/knn plan whole requests and flag

@@ -12,7 +12,7 @@
  * `knn`.  Each generator is a RequestShapedGen that flags the last
  * reference of every request it plans (MemRef::endsRequest), so the
  * open-loop serving layer segments latency accounting at true request
- * ends; under the closed arrival model nothing reads the flags.
+ * ends; under the closed arrival model the System counts none.
  *
  * These names are intentionally NOT part of paperWorkloads(): the
  * 12-workload paper grid stays byte-pinned.  They are reachable via

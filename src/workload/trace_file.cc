@@ -286,20 +286,15 @@ TraceFile::open(const std::string &path)
 
     // Whole-file integrity: hash with the checksum field treated as
     // zero, so a corruption of *any* byte -- including the checksum
-    // itself -- mismatches.  A stored zero marks an unchecksummed
-    // legacy capture and is loaded on structural validation alone.
-    const std::uint64_t stored = getU64(d + checksumOffset);
-    if (stored != 0) {
-        std::uint64_t sum = fnv1a(fnvOffsetBasis, d, checksumOffset);
-        const std::uint8_t zeros[8] = {};
-        sum = fnv1a(sum, zeros, 8);
-        sum = fnv1a(sum, d + checksumOffset + 8,
-                    size - checksumOffset - 8);
-        if (sum != stored)
-            throw TraceError("'" + path +
-                             "': checksum mismatch (corrupt or "
-                             "tampered trace file)");
-    }
+    // itself, zeroed or not -- mismatches.
+    std::uint64_t sum = fnv1a(fnvOffsetBasis, d, checksumOffset);
+    const std::uint8_t zeros[8] = {};
+    sum = fnv1a(sum, zeros, 8);
+    sum = fnv1a(sum, d + checksumOffset + 8, size - checksumOffset - 8);
+    if (sum != getU64(d + checksumOffset))
+        throw TraceError("'" + path +
+                         "': checksum mismatch (corrupt or "
+                         "tampered trace file)");
 
     tf->seed_ = getU64(d + 16);
     const char *name = reinterpret_cast<const char *>(d + 24);

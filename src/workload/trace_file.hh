@@ -17,8 +17,7 @@
  *   16      8     u64 seed of the recorded run (informational)
  *   24      32    source workload name, NUL-padded
  *   56      8     u64 FNV-1a-64 checksum of the whole file with
- *                 this field zeroed; 0 = unchecksummed legacy file
- *                 (early captures), loaded without verification
+ *                 this field zeroed
  *   64      24*S  stream table: { u64 byteOffset, u64 byteLength,
  *                                 u64 recordCount } per stream
  *   ...           per-stream record payload

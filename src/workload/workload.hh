@@ -30,8 +30,9 @@ struct MemRef
     /**
      * Last reference of a request: request-shaped generators flag the
      * end of every request they plan, and RequestSource flags fixed
-     * slices of any other stream.  Only the open-loop serving layer
-     * reads it; traces do not record it.
+     * slices of any other stream.  The front end stages every one,
+     * only the open-loop serving layer counts them, and traces do
+     * not record it.
      */
     bool endsRequest = false;
     /** Non-memory instructions executed since the previous ref. */

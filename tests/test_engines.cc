@@ -39,10 +39,8 @@ TEST(GuaranteeMatrix, MatchesTable1)
 {
     MemTopology topo({});
     NoProtectEngine np(topo);
-    CiConfig c_only;
-    c_only.integrity = false;
-    CiEngine c(topo, c_only);
-    CiEngine ci(topo, {});
+    CiEngine c(topo, {}, false);
+    CiEngine ci(topo, {}, true);
     ToleoDevice dev(devConfig());
     ToleoEngine tol(topo, dev, {}, {});
     InvisiMemEngine inv(topo);
@@ -79,9 +77,7 @@ TEST(GuaranteeMatrix, MatchesTable1)
 TEST(CiEngine, ReadAddsAesLatency)
 {
     MemTopology topo({});
-    CiConfig cfg;
-    cfg.integrity = false;
-    CiEngine c(topo, cfg);
+    CiEngine c(topo, {}, false);
     auto cost = c.onRead(blk(1, 0));
     EXPECT_NEAR(cost.latencyNs, 40.0 / 2.25, 1e-9);
     EXPECT_EQ(cost.metaBytes, 0u);
@@ -90,7 +86,7 @@ TEST(CiEngine, ReadAddsAesLatency)
 TEST(CiEngine, MacMissFetchesMacBlock)
 {
     MemTopology topo({});
-    CiEngine ci(topo, {});
+    CiEngine ci(topo, {}, true);
     auto cost = ci.onRead(blk(1, 0));
     EXPECT_EQ(cost.metaBytes, blockSize); // cold MAC block
     // Adjacent blocks share the MAC block: second read hits.
@@ -102,7 +98,7 @@ TEST(CiEngine, MacMissFetchesMacBlock)
 TEST(CiEngine, MacCacheMissLatencyExceedsHit)
 {
     MemTopology topo({});
-    CiEngine ci(topo, {});
+    CiEngine ci(topo, {}, true);
     auto miss = ci.onRead(blk(5, 0));
     auto hit = ci.onRead(blk(5, 1));
     EXPECT_GT(miss.latencyNs, hit.latencyNs);
@@ -111,7 +107,7 @@ TEST(CiEngine, MacCacheMissLatencyExceedsHit)
 TEST(CiEngine, EightBlocksPerMacBlock)
 {
     MemTopology topo({});
-    CiEngine ci(topo, {});
+    CiEngine ci(topo, {}, true);
     // Blocks 0..7 share one MAC block; block 8 starts a new one.
     ci.onRead(blk(0, 0));
     for (unsigned i = 1; i < 8; ++i)
@@ -125,7 +121,7 @@ TEST(CiEngine, DirtyMacBlocksWriteBack)
     CiConfig cfg;
     cfg.macCacheBytes = 2 * blockSize; // 2-entry MAC cache
     cfg.macCacheAssoc = 2;
-    CiEngine ci(topo, cfg);
+    CiEngine ci(topo, cfg, true);
     ci.onWriteback(blk(0, 0));  // dirty MAC block 0
     ci.onWriteback(blk(10, 0)); // dirty MAC block for page 10
     auto cost = ci.onRead(blk(20, 0)); // evicts a dirty victim
@@ -269,7 +265,7 @@ TEST(ResetMeasurement, CiZeroesMacCountersAndKeepsMacBlocks)
     CiConfig cfg;
     cfg.macCacheBytes = 2 * blockSize; // 2-entry MAC cache
     cfg.macCacheAssoc = 2;
-    CiEngine ci(topo, cfg);
+    CiEngine ci(topo, cfg, true);
     ci.onWriteback(blk(0, 0));
     ci.onWriteback(blk(10, 0));
     ci.onRead(blk(20, 0)); // evicts a dirty MAC block

