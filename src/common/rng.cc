@@ -1,6 +1,10 @@
 #include "common/rng.hh"
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -67,14 +71,28 @@ Rng::nextGaussian(double mean, double stddev)
 double
 ZipfSampler::zeta(std::uint64_t n, double theta)
 {
-    double sum = 0.0;
-    for (std::uint64_t i = 1; i <= n; ++i)
-        sum += 1.0 / std::pow(static_cast<double>(i), theta);
-    return sum;
+    // One table per process, shared by every sampler on every thread.
+    // theta is keyed by its bits: a NaN double key would break the
+    // map's ordering.  The lock is held through a miss's sum, so each
+    // key is summed once, in the one fixed order.
+    static std::mutex mutex;
+    static std::map<std::pair<std::uint64_t, std::uint64_t>, double> memo;
+    std::uint64_t thetaBits = 0;
+    std::memcpy(&thetaBits, &theta, sizeof thetaBits);
+    const std::pair<std::uint64_t, std::uint64_t> key{n, thetaBits};
+    const std::lock_guard<std::mutex> lock(mutex);
+    auto it = memo.find(key);
+    if (it == memo.end()) {
+        double sum = 0.0;
+        for (std::uint64_t i = 1; i <= n; ++i)
+            sum += 1.0 / std::pow(static_cast<double>(i), theta);
+        it = memo.emplace(key, sum).first;
+    }
+    return it->second;
 }
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double theta, std::uint64_t seed)
-    : n_(n), theta_(theta), rng_(seed)
+    : n_(n), rng_(seed)
 {
     if (n == 0)
         panic("ZipfSampler domain must be non-empty");
@@ -92,7 +110,7 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta, std::uint64_t seed)
     const double zeta2 = zeta(2, theta);
     eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
            (1.0 - zeta2 / zetan_);
-    powHalfTheta_ = std::pow(0.5, theta_);
+    powHalfTheta_ = std::pow(0.5, theta);
 }
 
 std::uint64_t

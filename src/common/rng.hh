@@ -135,8 +135,15 @@ class Rng
 
 /**
  * Bounded Zipfian sampler over [0, n) with exponent theta, using the
- * standard inverse-CDF-free rejection method of Gray et al.  Used by
- * the key-value-store workload generators for popularity skew.
+ * standard inverse-CDF-free rejection method of Gray et al.  Used for
+ * popularity skew by MixWorkload's Zipf streams and by the request
+ * apps' payload draws.
+ *
+ * The normalization zeta(n, theta) is summed once per (n, theta) per
+ * process and memoized: a 64-core kvs node would otherwise re-sum the
+ * same 131072-term series once per core.  Sharing the memo across
+ * samplers and threads cannot reach any result, because the value is
+ * a pure function of its key and a miss sums in the one fixed order.
  */
 class ZipfSampler
 {
@@ -145,11 +152,8 @@ class ZipfSampler
 
     std::uint64_t next();
 
-    std::uint64_t domain() const { return n_; }
-
   private:
     std::uint64_t n_;
-    double theta_;
     double alpha_;
     double zetan_;
     double eta_;
@@ -157,6 +161,7 @@ class ZipfSampler
     double powHalfTheta_;
     Rng rng_;
 
+    /** sum over i in [1, n] of 1 / i^theta, memoized per (n, theta). */
     static double zeta(std::uint64_t n, double theta);
 };
 

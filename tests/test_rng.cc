@@ -247,11 +247,19 @@ TEST(ZipfPinned, SequenceSeed42)
 {
     // Covers the rank-0 / rank-1 shortcuts and the pow() tail,
     // including the clamp-before-cast shape in ZipfSampler::next().
-    ZipfSampler z(100000, 0.99, 42);
+    // No earlier test sums zeta(100000, 0.99), so `fresh` sums it and
+    // `hit` reads the memo after `other` filled another entry: a memo
+    // hit must return the bits of a fresh sum.
     const std::uint64_t want[] = {
         1ull, 55ull, 2260ull, 41515ull,
         90909ull, 6636ull, 3624ull, 17227ull,
     };
-    for (const std::uint64_t w : want)
-        EXPECT_EQ(z.next(), w);
+    ZipfSampler fresh(100000, 0.99, 42);
+    ZipfSampler other(4096, 1.1, 42);
+    ZipfSampler hit(100000, 0.99, 42);
+    for (const std::uint64_t w : want) {
+        EXPECT_EQ(fresh.next(), w);
+        EXPECT_EQ(hit.next(), w);
+    }
+    EXPECT_LT(other.next(), 4096u);
 }

@@ -740,7 +740,9 @@ ruleRawThread(const std::vector<SourceFile> &files, Linter &lint)
     // here because the one pool preserves the replay structure:
     // IntraPool (sim/intra_pool) runs sweep cells, rack nodes' private
     // halves and per-core private phases, bodies that share no
-    // mutable state, so no work assignment can reach the results.  A
+    // mutable state but one: the mutex-guarded Zipf normalization
+    // memo (common/rng.cc), whose every value is a pure function of
+    // its key.  So no work assignment can reach the results.  A
     // raw std::thread anywhere else has no such argument attached, so
     // it is banned: route new parallelism through the pool (or
     // extend this sanctioned list with the accompanying reasoning).
