@@ -13,7 +13,6 @@
 
 #include <cstdio>
 
-#include "common/logging.hh"
 #include "sim/system.hh"
 
 using namespace toleo;
@@ -35,7 +34,6 @@ runConfig(EngineKind kind)
 int
 main()
 {
-    setVerbose(false);
     std::printf("Confidential LLM inference (llama2-gen)\n");
     std::printf("========================================\n\n");
 

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
 #include "sim/rack.hh"
 #include "sim/trip_analysis.hh"
 
@@ -46,7 +45,6 @@ struct Tenant
 int
 main()
 {
-    setVerbose(false);
     std::printf("Rack planning: 168 GB Toleo device, 4 nodes\n");
     std::printf("===========================================\n\n");
 

@@ -24,8 +24,6 @@ namespace toleo {
 class Json
 {
   public:
-    enum class Type { Null, Bool, Number, String, Array, Object };
-
     Json() : type_(Type::Null) {}
     Json(bool b) : type_(Type::Bool), bool_(b) {}
     Json(double d) : type_(Type::Number), num_(d) {}
@@ -41,13 +39,8 @@ class Json
     static Json array() { Json j; j.type_ = Type::Array; return j; }
     static Json object() { Json j; j.type_ = Type::Object; return j; }
 
-    Type type() const { return type_; }
     bool isNull() const { return type_ == Type::Null; }
-    bool isBool() const { return type_ == Type::Bool; }
-    bool isNumber() const { return type_ == Type::Number; }
     bool isString() const { return type_ == Type::String; }
-    bool isArray() const { return type_ == Type::Array; }
-    bool isObject() const { return type_ == Type::Object; }
 
     /** Value accessors; panic() on type mismatch. */
     bool asBool() const;
@@ -85,6 +78,8 @@ class Json
                       std::string *err = nullptr);
 
   private:
+    enum class Type { Null, Bool, Number, String, Array, Object };
+
     void dumpIndented(std::ostream &os, int indent, int depth) const;
 
     Type type_;

@@ -6,8 +6,6 @@
 namespace toleo {
 
 namespace {
-bool verboseOutput = true;
-
 void
 vreport(const char *tag, const char *fmt, va_list args)
 {
@@ -44,23 +42,6 @@ warn(const char *fmt, ...)
     va_start(args, fmt);
     vreport("warn", fmt, args);
     va_end(args);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (!verboseOutput)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    vreport("info", fmt, args);
-    va_end(args);
-}
-
-void
-setVerbose(bool verbose)
-{
-    verboseOutput = verbose;
 }
 
 } // namespace toleo

@@ -7,7 +7,6 @@
  * fatal()  -- the simulation cannot continue because of a user error
  *             (bad configuration, invalid argument); exits cleanly.
  * warn()   -- something is off but the run can proceed.
- * inform() -- progress / status output.
  */
 
 #ifndef TOLEO_COMMON_LOGGING_HH
@@ -28,12 +27,6 @@ namespace toleo {
 
 /** Report a recoverable problem. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report status information. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Enable/disable inform() output (benches silence it). */
-void setVerbose(bool verbose);
 
 } // namespace toleo
 

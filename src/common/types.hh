@@ -82,13 +82,6 @@ blockAlign(Addr addr)
     return addr & ~(blockSize - 1);
 }
 
-/** Align a byte address down to its page base. */
-constexpr Addr
-pageAlign(Addr addr)
-{
-    return addr & ~(pageSize - 1);
-}
-
 /** Convenience literals for capacities. */
 constexpr std::uint64_t KiB = 1024;
 constexpr std::uint64_t MiB = 1024 * KiB;

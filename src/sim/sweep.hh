@@ -2,8 +2,8 @@
  * @file
  * Shared (workload x engine) sweep runner.
  *
- * Every paper figure/table binary and the toleo_sim CLI evaluate a
- * grid of cells, where each cell builds one self-contained
+ * The paper record (bench/) and the toleo_sim CLI evaluate a grid
+ * of cells, where each cell builds one self-contained
  * toleo::System and runs it for a warmup + measurement window.  Cells
  * share no mutable state, so the grid is embarrassingly parallel:
  * runSweep() fans cells out over an IntraPool (sim/intra_pool.hh)

@@ -42,9 +42,6 @@ class ToleoEngine : public CiEngine
     /** UV_UPDATE page re-encryptions since the last reset. */
     std::uint64_t pageReencryptions() const { return pageReencryptions_; }
 
-    /** On-chip SRAM added over CI (TLB ext + overflow buffer). */
-    std::uint64_t addedSramBytes() const { return scache_.sramBytes(); }
-
   private:
     ToleoDevice &device_;
     StealthCache scache_;

@@ -19,7 +19,7 @@
  *    locality.
  *
  * Weights were calibrated against Table 2 MPKI with the scaled node
- * (see bench/tab2_workloads).
+ * (see bench/paper's Table 2).
  */
 
 #include "workload/workload.hh"

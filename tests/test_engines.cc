@@ -247,14 +247,6 @@ TEST(ToleoEngine, ResetChargesReencryption)
     EXPECT_EQ(eng.pageReencryptions(), 1u);
 }
 
-TEST(ToleoEngine, AddedSramMatchesPaper)
-{
-    MemTopology topo({});
-    ToleoDevice dev(devConfig());
-    ToleoEngine eng(topo, dev, {}, {});
-    EXPECT_EQ(eng.addedSramBytes(), 31 * KiB); // Section 7.3
-}
-
 // resetMeasurement() opens the measurement window: every statistic an
 // engine reports goes to zero, while what it has cached stays, so a
 // block that hit before the reset still hits after it.

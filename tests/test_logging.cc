@@ -2,11 +2,11 @@
  * @file
  * Unit tests for the logging/report helpers.
  *
- * warn()/inform() write printf-formatted lines to stderr; panic()
- * aborts and fatal() exits(1).  These are the error paths everything
- * else leans on (every accessor guard in Json, every config check),
- * so their contracts -- tag prefix, formatting, verbosity gate, and
- * the two distinct termination modes -- get pinned here.
+ * warn() writes a printf-formatted line to stderr; panic() aborts
+ * and fatal() exits(1).  These are the error paths everything else
+ * leans on (every accessor guard in Json, every config check), so
+ * their contracts -- tag prefix, formatting, and the two distinct
+ * termination modes -- get pinned here.
  */
 
 #include <gtest/gtest.h>
@@ -36,29 +36,6 @@ TEST(Logging, WarnIsTaggedAndFormatted)
     const std::string out = captureStderr(
         [] { warn("bad value %d in %s", 7, "cfg"); });
     EXPECT_EQ(out, "warn: bad value 7 in cfg\n");
-}
-
-TEST(Logging, InformIsTaggedAndFormatted)
-{
-    setVerbose(true);
-    const std::string out =
-        captureStderr([] { inform("cell %u done", 3u); });
-    EXPECT_EQ(out, "info: cell 3 done\n");
-}
-
-TEST(Logging, SetVerboseGatesInformOnly)
-{
-    setVerbose(false);
-    const std::string quiet = captureStderr([] {
-        inform("suppressed");
-        warn("still shown");
-    });
-    setVerbose(true);
-    EXPECT_EQ(quiet, "warn: still shown\n");
-
-    // Re-enabling restores inform().
-    const std::string loud = captureStderr([] { inform("back"); });
-    EXPECT_EQ(loud, "info: back\n");
 }
 
 TEST(LoggingDeath, PanicAbortsWithTaggedMessage)

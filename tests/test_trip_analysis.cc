@@ -145,10 +145,11 @@ TEST(TripAnalysis, RssNeverBelowTouchedPages)
 
 TEST(TripGolden, PaperWorkloadsMatchCommittedRecord)
 {
-    // Pins every number the Fig 10-12 / Table 4 benches print from,
-    // for all 12 paper workloads at quick()'s 300k-refs/core window:
-    // RSS pages, pages by format, the Table 4 average, the Fig 11
-    // per-TB split, store updates/resets and the Fig 12 timeline.
+    // Pins every number bench/paper's Fig 10-12 / Table 4 sections
+    // print from, for all 12 paper workloads at quick()'s
+    // 300k-refs/core window: RSS pages, pages by format, the Table 4
+    // average, the Fig 11 per-TB split, store updates/resets and the
+    // Fig 12 timeline.
     // After an *intended* change, regenerate with
     //
     //   TOLEO_UPDATE_GOLDEN=1 ./tests/test_trip_analysis

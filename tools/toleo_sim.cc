@@ -2,11 +2,10 @@
  * @file
  * toleo_sim: the parallel sweep driver.
  *
- * Replaces serially running the 18 bench/ figure binaries when all
- * you want is the raw numbers: evaluates a (workload x engine) grid,
- * fanning the cells out to worker threads (each cell's toleo::System
- * is self-contained), and emits the full SimStats record for every
- * cell as JSON or CSV.  Typical use:
+ * The raw numbers behind bench/paper's figures: evaluates a
+ * (workload x engine) grid, fanning the cells out to worker threads
+ * (each cell's toleo::System is self-contained), and emits the full
+ * SimStats record for every cell as JSON or CSV.  Typical use:
  *
  *   toleo_sim --workloads bsw,dbg --engines NoProtect,Toleo --jobs 4
  *   toleo_sim --workloads all --engines all --jobs 8 --format csv
@@ -449,7 +448,6 @@ emitRackCsv(const std::vector<RackStats> &results, std::ostream &os)
 int
 main(int argc, char **argv)
 {
-    setVerbose(false);
     RunSpec spec = parseArgs(argc, argv);
     SweepOptions &sweep = spec.sweep;
     const bool rack = spec.rack();
