@@ -165,6 +165,14 @@ class ZipfSampler
     static double zeta(std::uint64_t n, double theta);
 };
 
+/** Scatter a ZipfSampler rank over a region of @p domain slots
+ *  deterministically, so the hottest ranks do not sit side by side. */
+inline std::uint64_t
+scatterRank(std::uint64_t rank, std::uint64_t domain)
+{
+    return (rank * 0x9e3779b97f4a7c15ULL) % domain;
+}
+
 } // namespace toleo
 
 #endif // TOLEO_COMMON_RNG_HH

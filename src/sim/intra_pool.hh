@@ -54,9 +54,6 @@ class IntraPool
     IntraPool(const IntraPool &) = delete;
     IntraPool &operator=(const IntraPool &) = delete;
 
-    /** Total concurrency (workers + the calling thread). */
-    unsigned threads() const { return workers_ + 1; }
-
     /**
      * Run fn(i) for every i in [0, n), striped statically across the
      * pool (slot s handles i = s, s + T, ...; the caller is slot 0).

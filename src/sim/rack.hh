@@ -64,17 +64,18 @@ struct RackConfig
     std::uint64_t measureRefs = 60000;
 
     /**
-     * Worker threads for the node-private half of each rack epoch
-     * (`--rack-threads`).  Each epoch splits per node into a private
-     * sub-phase (generator draws, L1/L2, staging: the node's
-     * FrontEnd, which holds no handle to the device;
-     * System::stepEpochPrivate) that the pool runs for all live nodes
-     * concurrently, and a shared sub-phase (device/arbiter replay;
-     * System::replayEpochShared) that always runs serially in strict
-     * node order.  1 (the default) calls stepEpoch() per node
-     * instead, which runs the same halves item by item and so stages
-     * one batch, not a whole epoch; any value yields bit-identical
-     * rackStatsToJson output.  Clamped to the node count.
+     * Worker threads for the node-private half of each rack epoch.
+     * Each epoch splits per node into a private sub-phase (generator
+     * draws, L1/L2, staging: the node's FrontEnd, which holds no
+     * handle to the device; System::stepEpochPrivate) that the pool
+     * runs for all live nodes concurrently, and a shared sub-phase
+     * (device/arbiter replay; System::replayEpochShared) that always
+     * runs serially in strict node order.  1 (the default) calls
+     * stepEpoch() per node instead, which runs the same halves item
+     * by item and so stages one batch, not a whole epoch; any value
+     * yields bit-identical rackStatsToJson output.  Clamped to the
+     * node count.  The sweep and toleo_sim leave it at 1; perfbench
+     * sets it to measure what the tier buys.
      */
     unsigned rackThreads = 1;
 };

@@ -17,7 +17,6 @@ runSweepCell(const SweepCell &cell, const SweepOptions &opts)
         makeScaledConfig(cell.workload, cell.engine, opts.cores);
     cfg.seed = opts.seed;
     cfg.trace = opts.trace;
-    cfg.intraThreads = opts.intraThreads;
     cfg.arrival = opts.arrival;
     System sys(cfg);
     return sys.run(opts.warmupRefs, opts.measureRefs);
@@ -103,16 +102,9 @@ runRackSweepCell(const SweepCell &cell, const SweepOptions &opts)
         makeScaledConfig(cell.workload, cell.engine, opts.cores);
     base.seed = opts.seed;
     base.trace = opts.trace;
-    // makeRackConfig clones the base config per node, so every
-    // node's private phase gets the same intra-cell pool size; the
-    // nodes' shared-device work still replays serially in node order
-    // even when rackThreads overlaps their private halves
-    // (determinism).
-    base.intraThreads = opts.intraThreads;
     base.arrival = opts.arrival;
     RackConfig rc = makeRackConfig(opts.rackNodes, base);
     rc.deviceServiceGBps = opts.rackServiceGBps;
-    rc.rackThreads = opts.rackThreads;
     rc.warmupRefs = opts.warmupRefs;
     rc.measureRefs = opts.measureRefs;
     return runRack(rc);

@@ -40,17 +40,12 @@ struct SweepOptions
     std::uint64_t warmupRefs = 30000;
     std::uint64_t measureRefs = 60000;
     std::uint64_t seed = 42;
-    /** Pool threads, the caller included; cells run serially when 1. */
-    unsigned jobs = 1;
     /**
-     * Private-phase threads *inside* each cell's System(s)
-     * (SystemConfig::intraThreads).  Composes multiplicatively with
-     * jobs: a sweep can run up to jobs x intraThreads threads at
-     * once, so callers should budget the product against the host
-     * (the toleo_sim CLI enforces this).  Statistics are
-     * bit-identical for any value.
+     * Pool threads, the caller included; cells run serially when 1.
+     * The sweep's only thread setting: a cell runs whole on the
+     * thread that claims it.
      */
-    unsigned intraThreads = 1;
+    unsigned jobs = 1;
     /**
      * Replay every cell from this loaded trace instead of
      * synthesizing (SystemConfig::trace).  Cells share the instance
@@ -65,15 +60,6 @@ struct SweepOptions
     unsigned rackNodes = 1;
     /** Shared-device service bandwidth, GB/s; 0 = auto (rack.hh). */
     double rackServiceGBps = 0.0;
-    /**
-     * Rack mode only: worker threads for the node-private epoch
-     * halves inside each rack cell (RackConfig::rackThreads).  A
-     * third multiplicative tier between jobs and intraThreads: a rack
-     * sweep can run up to jobs x rackThreads x intraThreads threads
-     * at once, and the CLI budgets that product against the host.
-     * Statistics are bit-identical for any value.
-     */
-    unsigned rackThreads = 1;
     /**
      * Request arrival model (SystemConfig::arrival), applied to every
      * cell.  The default closed model reproduces the classic replay

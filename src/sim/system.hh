@@ -95,8 +95,8 @@ struct SystemConfig
      * value produces bit-identical statistics: the per-core private
      * bodies touch disjoint state, and the shared phase replays the
      * exact global order single-threaded either way.
-     * Clamped to numCores; composes with cross-cell sweep jobs (the
-     * drivers budget jobs x intraThreads against the host).
+     * Clamped to numCores.  The sweep and toleo_sim leave it at 1;
+     * perfbench sets it to measure what the tier buys.
      */
     unsigned intraThreads = 1;
     /**

@@ -115,11 +115,6 @@ class ToleoDevice
      *  initiators from the serial shared sub-phase, between nodes'
      *  replays -- never while private halves are in flight. */
     void setActiveInitiator(unsigned id);
-    unsigned activeInitiator() const { return active_; }
-    unsigned initiatorCount() const
-    {
-        return static_cast<unsigned>(initiators_.size());
-    }
     /** READ+UPDATE+RESET requests by @p id since the epoch opened. */
     std::uint64_t epochRequests(unsigned id) const
     {

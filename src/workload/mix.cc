@@ -7,17 +7,6 @@
 
 namespace toleo {
 
-namespace {
-
-/** Scatter a popularity rank over a region deterministically. */
-std::uint64_t
-scatterRank(std::uint64_t rank, std::uint64_t domain)
-{
-    return (rank * 0x9e3779b97f4a7c15ULL) % domain;
-}
-
-} // namespace
-
 MixWorkload::MixWorkload(WorkloadInfo info, MixSpec spec, unsigned core,
                          std::uint64_t seed)
     : TraceGen(std::move(info)), spec_(std::move(spec)),

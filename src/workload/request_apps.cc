@@ -5,18 +5,12 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/types.hh"
 
 namespace toleo {
 
 namespace {
-
-/** Scatter a popularity rank over a region deterministically. */
-std::uint64_t
-scatterRank(std::uint64_t rank, std::uint64_t domain)
-{
-    return (rank * 0x9e3779b97f4a7c15ULL) % domain;
-}
 
 /**
  * Shape of one request app.  Every request is: a few hot "parse" refs,

@@ -249,12 +249,57 @@ namespace {
 /** tinyWindow with enough cores that an 8-thread intra-cell pool is
  *  not clamped down to the core count. */
 SweepOptions
-intraWindow(unsigned jobs, unsigned intra)
+intraWindow()
 {
-    SweepOptions opts = tinyWindow(jobs);
+    SweepOptions opts = tinyWindow(1);
     opts.cores = 8;
-    opts.intraThreads = intra;
     return opts;
+}
+
+/** runSweepCell's config for @p cell, with the private-phase pool
+ *  (SystemConfig::intraThreads, which no sweep sets) at @p intra. */
+SystemConfig
+cellConfig(const SweepCell &cell, const SweepOptions &opts,
+           unsigned intra)
+{
+    SystemConfig cfg =
+        makeScaledConfig(cell.workload, cell.engine, opts.cores);
+    cfg.seed = opts.seed;
+    cfg.arrival = opts.arrival;
+    cfg.intraThreads = intra;
+    return cfg;
+}
+
+/** What runSweep returns for @p cells, run at @p intra threads. */
+std::vector<std::string>
+dumpAtIntra(const std::vector<SweepCell> &cells, const SweepOptions &opts,
+            unsigned intra)
+{
+    std::vector<std::string> dumps;
+    for (const SweepCell &cell : cells) {
+        System sys(cellConfig(cell, opts, intra));
+        dumps.push_back(
+            statsToJson(sys.run(opts.warmupRefs, opts.measureRefs))
+                .dump(2));
+    }
+    return dumps;
+}
+
+/** What runRackSweep returns for @p cells, every node run at
+ *  @p intra threads. */
+std::vector<std::string>
+dumpRacksAtIntra(const std::vector<SweepCell> &cells,
+                 const SweepOptions &opts, unsigned intra)
+{
+    std::vector<std::string> dumps;
+    for (const SweepCell &cell : cells) {
+        RackConfig rc =
+            makeRackConfig(opts.rackNodes, cellConfig(cell, opts, intra));
+        rc.warmupRefs = opts.warmupRefs;
+        rc.measureRefs = opts.measureRefs;
+        dumps.push_back(rackStatsToJson(runRack(rc)).dump(2));
+    }
+    return dumps;
 }
 
 } // namespace
@@ -263,42 +308,27 @@ intraWindow(unsigned jobs, unsigned intra)
 // Intra-cell (private-phase) threading: SystemConfig::intraThreads
 // runs each core's generator draws and L1/L2 accesses on a worker
 // pool, with the shared phase replaying the exact global order.  The
-// contract is the same as for --jobs: not observable in the stats.
+// contract is the same as for --jobs: not observable in the stats,
+// so a threaded System reproduces the sweep's serial cell.
 // ---------------------------------------------------------------------
 
 TEST(IntraThreadDeterminism, SameSeedSameBytesAcrossThreadCounts)
 {
     const auto cells = smallGrid();
-    const auto one = dumpAll(runSweep(cells, intraWindow(1, 1)));
-    const auto two = dumpAll(runSweep(cells, intraWindow(1, 2)));
-    const auto eight = dumpAll(runSweep(cells, intraWindow(1, 8)));
-    EXPECT_EQ(one, two);
-    EXPECT_EQ(one, eight);
-}
-
-TEST(IntraThreadDeterminism, ComposesWithCrossCellJobs)
-{
-    // jobs x intraThreads: every cell gets its own pool while the
-    // cells themselves run on the cross-cell pool.
-    const auto cells = smallGrid();
-    const auto serial = dumpAll(runSweep(cells, intraWindow(1, 1)));
-    const auto composed = dumpAll(runSweep(cells, intraWindow(4, 2)));
-    EXPECT_EQ(serial, composed);
+    const SweepOptions w = intraWindow();
+    const auto one = dumpAll(runSweep(cells, w));
+    EXPECT_EQ(one, dumpAtIntra(cells, w, 2));
+    EXPECT_EQ(one, dumpAtIntra(cells, w, 8));
 }
 
 TEST(IntraThreadDeterminism, RackNodesSameBytesAcrossThreadCounts)
 {
     const auto cells = rackGrid();
-    SweepOptions w1 = rackWindow(1);
-    SweepOptions w2 = rackWindow(1);
-    w2.intraThreads = 2;
-    SweepOptions w8 = rackWindow(1);
-    w8.intraThreads = 8; // clamped to the per-node core count
-    const auto one = dumpAllRacks(runRackSweep(cells, w1));
-    const auto two = dumpAllRacks(runRackSweep(cells, w2));
-    const auto eight = dumpAllRacks(runRackSweep(cells, w8));
-    EXPECT_EQ(one, two);
-    EXPECT_EQ(one, eight);
+    const SweepOptions w = rackWindow(1);
+    const auto one = dumpAllRacks(runRackSweep(cells, w));
+    EXPECT_EQ(one, dumpRacksAtIntra(cells, w, 2));
+    // 8 is clamped to the per-node core count.
+    EXPECT_EQ(one, dumpRacksAtIntra(cells, w, 8));
 }
 
 namespace {
@@ -313,14 +343,13 @@ openGrid()
 }
 
 SweepOptions
-openWindow(unsigned jobs, unsigned intra = 1)
+openWindow(unsigned jobs)
 {
     SweepOptions opts;
     opts.cores = 8;
     opts.warmupRefs = 1000;
     opts.measureRefs = 3000;
     opts.jobs = jobs;
-    opts.intraThreads = intra;
     opts.arrival.kind = ArrivalKind::Poisson;
     opts.arrival.ratePerSec = 2e6;
     return opts;
@@ -362,8 +391,8 @@ TEST(ServingDeterminism, SameSeedSameBytesAcrossIntraThreadCounts)
     // finalized in deterministic shared-phase round order, so the
     // intra-cell pool size must be invisible here too.
     const auto cells = openGrid();
-    EXPECT_EQ(dumpAll(runSweep(cells, openWindow(1, 1))),
-              dumpAll(runSweep(cells, openWindow(1, 8))));
+    const SweepOptions w = openWindow(1);
+    EXPECT_EQ(dumpAll(runSweep(cells, w)), dumpAtIntra(cells, w, 8));
 }
 
 TEST(ServingDeterminism, RackSameBytesAcrossRunsAndThreads)
@@ -372,11 +401,9 @@ TEST(ServingDeterminism, RackSameBytesAcrossRunsAndThreads)
         makeSweepGrid({"kvs"}, {EngineKind::Toleo});
     SweepOptions w = openWindow(1);
     w.rackNodes = 2;
-    SweepOptions w8 = openWindow(1, 8);
-    w8.rackNodes = 2;
     const auto a = dumpAllRacks(runRackSweep(cells, w));
     const auto b = dumpAllRacks(runRackSweep(cells, w));
-    const auto c = dumpAllRacks(runRackSweep(cells, w8));
+    const auto c = dumpRacksAtIntra(cells, w, 8);
     EXPECT_EQ(a, b);
     EXPECT_EQ(a, c);
     ASSERT_EQ(a.size(), 1u);

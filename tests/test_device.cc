@@ -135,7 +135,6 @@ TEST(DeviceInitiators, AddressSpacesArePartitioned)
     ToleoDevice dev(smallConfig());
     const unsigned other = dev.addInitiator();
     ASSERT_EQ(other, 1u);
-    EXPECT_EQ(dev.initiatorCount(), 2u);
 
     const BlockNum b = blk(5, 3);
     dev.setActiveInitiator(0);
@@ -182,5 +181,4 @@ TEST(DeviceInitiators, EpochRequestAccounting)
     ToleoDevice solo(smallConfig());
     solo.update(blk(2, 0));
     EXPECT_EQ(solo.totalRequests(0), 1u);
-    EXPECT_EQ(solo.activeInitiator(), 0u);
 }

@@ -52,6 +52,27 @@ dump(const SimStats &stats)
     return statsToJson(stats).dump(2);
 }
 
+/**
+ * rackStatsToJson of runRackSweepCell(goldenCell, @p opts), run with
+ * the in-cell thread knobs that no sweep sets: RackConfig::rackThreads
+ * and every node's SystemConfig::intraThreads.
+ */
+std::string
+goldenRackAtThreads(const SweepOptions &opts, unsigned rackThreads,
+                    unsigned intraThreads)
+{
+    SystemConfig base = makeScaledConfig(goldenCell.workload,
+                                         goldenCell.engine, opts.cores);
+    base.seed = opts.seed;
+    base.arrival = opts.arrival;
+    base.intraThreads = intraThreads;
+    RackConfig rc = makeRackConfig(opts.rackNodes, base);
+    rc.rackThreads = rackThreads;
+    rc.warmupRefs = opts.warmupRefs;
+    rc.measureRefs = opts.measureRefs;
+    return rackStatsToJson(runRack(rc)).dump(2);
+}
+
 } // namespace
 
 TEST(Rack, OneNodeRackIsBitIdenticalToSingleSystemRun)
@@ -217,46 +238,32 @@ TEST(Rack, StagedEpochMisuseThrows)
 
 TEST(Rack, RackThreadsAreBitIdentical)
 {
-    // The headline determinism contract of --rack-threads: the full
-    // RackStats record (per-node sims, contention counters, device
-    // scalars) is byte-identical for any thread count, and across
-    // repeated runs of the same count.
-    const SweepOptions base = rackWindow(4);
-    SweepOptions opts = base;
+    // The headline determinism contract of RackConfig::rackThreads:
+    // the full RackStats record (per-node sims, contention counters,
+    // device scalars) is byte-identical to the sweep's serial cell for
+    // any thread count, and across repeated runs of the same count.
+    const SweepOptions opts = rackWindow(4);
     const std::string serial =
         rackStatsToJson(runRackSweepCell(goldenCell, opts)).dump(2);
-    for (const unsigned threads : {2u, 8u}) {
-        opts = base;
-        opts.rackThreads = threads;
-        EXPECT_EQ(
-            serial,
-            rackStatsToJson(runRackSweepCell(goldenCell, opts)).dump(2))
+    for (const unsigned threads : {2u, 8u})
+        EXPECT_EQ(serial, goldenRackAtThreads(opts, threads, 1))
             << "rackThreads=" << threads;
-    }
     // Repeat at 8 (well past the 4-node clamp): run-to-run identity.
-    opts = base;
-    opts.rackThreads = 8;
-    EXPECT_EQ(
-        serial,
-        rackStatsToJson(runRackSweepCell(goldenCell, opts)).dump(2));
+    EXPECT_EQ(serial, goldenRackAtThreads(opts, 8, 1));
 }
 
 TEST(Rack, RackThreadsComposeWithIntraThreadsAndServing)
 {
-    // All three tiers at once -- rack workers outside, per-node intra
-    // pools inside, plus the open-loop overlay whose staged request
-    // boundaries ride the private phase -- must still reproduce the
-    // serial record byte-for-byte.
+    // Both in-cell tiers at once -- rack workers outside, per-node
+    // intra pools inside, plus the open-loop overlay whose staged
+    // request boundaries ride the private phase -- must still
+    // reproduce the serial record byte-for-byte.
     SweepOptions opts = rackWindow(3);
     std::string err;
     ASSERT_TRUE(parseArrivalSpec("poisson:2e6", opts.arrival, err));
     const std::string serial =
         rackStatsToJson(runRackSweepCell(goldenCell, opts)).dump(2);
-    opts.rackThreads = 3;
-    opts.intraThreads = 2;
-    EXPECT_EQ(
-        serial,
-        rackStatsToJson(runRackSweepCell(goldenCell, opts)).dump(2));
+    EXPECT_EQ(serial, goldenRackAtThreads(opts, 3, 2));
 }
 
 TEST(Rack, OneNodeRackWithRackThreadsKeepsSoloInvariant)

@@ -13,6 +13,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include <sys/wait.h>
 
@@ -322,10 +323,9 @@ TEST(ToleoSimBinary, CsvAndBadArgs)
     EXPECT_NE(std::system(bad.c_str()), 0);
 
     // Unsigned flags are range-checked by name, never wrapped modulo
-    // 2^32: --cores 4294967298 used to simulate 2 cores, and
-    // --rack-threads 4294967296 died with "must be positive".  Each
-    // value below wraps to a runnable setting, so a lost check shows
-    // up as a clean exit.
+    // 2^32: --cores 4294967298 used to simulate 2 cores.  Each value
+    // below wraps to a runnable setting, so a lost check shows up as
+    // a clean exit.
     struct Case
     {
         const char *flag;
@@ -337,10 +337,7 @@ TEST(ToleoSimBinary, CsvAndBadArgs)
     for (const Case &c :
          {Case{"--cores", "--cores 4294967298"},
           Case{"--jobs", "--jobs 4294967297"},
-          Case{"--threads-per-cell", "--threads-per-cell 4294967297"},
           Case{"--rack", "--rack 4294967298"},
-          Case{"--rack-threads", "--rack 2 --rack-threads 4294967297"},
-          Case{"--rack-threads", "--rack 2 --rack-threads 4294967296"},
           Case{"--seed", "--seed 99999999999999999999"}}) {
         const std::string err = cliError(cell + c.args);
         EXPECT_NE(err.find(std::string(c.flag) + ": '"),
@@ -532,8 +529,7 @@ TEST(ToleoSimBinary, ServingGuardsFailFast)
     EXPECT_TRUE(fails("--rack 2 --rack-service 0.001 --workloads bsw"
                       " --engines Toleo"));
     // Outside rack mode --rack-service used to be a silent no-op that
-    // simulated a single node; it now fails by name, like
-    // --rack-threads.
+    // simulated a single node; it now fails by name.
     for (const char *args :
          {"--rack-service 5 --workloads bsw --engines Toleo",
           "--rack 1 --rack-service 5 --workloads bsw --engines Toleo"}) {
@@ -545,82 +541,42 @@ TEST(ToleoSimBinary, ServingGuardsFailFast)
     }
 }
 
-TEST(ToleoSimBinary, RackThreadsGuardsAndBitIdentity)
+TEST(ToleoSimBinary, JobsIsTheOnlyThreadFlag)
 {
-    const auto fails = [](const std::string &args) {
-        const std::string cmd = std::string("\"") + TOLEO_SIM_BIN +
-                                "\" " + args +
-                                " --quiet > /dev/null 2>&1";
-        return std::system(cmd.c_str()) != 0;
-    };
-    // Bad values die at the parser.
-    EXPECT_TRUE(fails("--rack 2 --rack-threads 0 --workloads bsw"
-                      " --engines Toleo"));
-    // --rack-threads without rack mode is a misuse, not a no-op.
-    EXPECT_TRUE(fails("--rack-threads 2 --workloads bsw"
-                      " --engines Toleo"));
-    EXPECT_TRUE(fails("--rack 1 --rack-threads 2 --workloads bsw"
-                      " --engines Toleo"));
-    // The oversubscription guard covers the three-way product (an
-    // explicit --jobs x --rack-threads x --threads-per-cell budget
-    // no host satisfies).
-    EXPECT_TRUE(fails("--rack 2 --rack-threads 1000 --jobs 1000"
-                      " --workloads bsw --engines Toleo"));
-    EXPECT_TRUE(fails("--rack 2 --rack-threads 500"
-                      " --threads-per-cell 500 --jobs 1000"
-                      " --workloads bsw --engines Toleo"));
-    // The budget is computed in 64 bits: 2^31 x 2 used to wrap to 0
-    // threads per cell and slip past the guard.
-    const std::string wrapped =
-        cliError("--jobs 4 --rack 2 --rack-threads 2147483648"
-                 " --threads-per-cell 2 --workloads bsw --engines Toleo"
-                 " --cores 2 --warmup 500 --measure 2000");
-    EXPECT_NE(wrapped.find("oversubscribes"), std::string::npos)
-        << wrapped;
-
-    // A threaded rack cell emits byte-identical *results* to the
-    // serial one (the config block differs by design: it records
-    // rackThreads), and --allow-oversubscribe lets the product
-    // through on any host.
-    const std::string out =
-        ::testing::TempDir() + "/toleo_sim_rack_threads.json";
-    const auto runRackCli = [&out](const std::string &extra) {
-        const std::string cmd =
-            std::string("\"") + TOLEO_SIM_BIN +
-            "\" --workloads bsw --engines Toleo --rack 2 --cores 2"
-            " --warmup 500 --measure 2000 --quiet " +
-            extra + " --out \"" + out + "\"";
-        EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
-        std::ifstream in(out);
-        std::ostringstream text;
-        text << in.rdbuf();
-        std::string err;
-        Json doc = Json::parse(text.str(), &err);
-        EXPECT_TRUE(err.empty()) << extra << ": " << err;
-        std::remove(out.c_str());
-        return doc;
-    };
-    const Json serial = runRackCli("--jobs 1 --rack-threads 1");
-    EXPECT_EQ(serial.get("config")->get("rackThreads")->asUint(), 1u);
-    ASSERT_NE(serial.get("results"), nullptr);
-    const std::string want = serial.get("results")->dump(2);
-    // The 65536 x 65536 budget used to wrap to 0 and die dividing by
-    // it; now --jobs auto-detects to 1 and both pools clamp to the
-    // two nodes and two cores.
-    for (const char *extra :
-         {"--jobs 1 --rack-threads 2 --allow-oversubscribe",
-          "--jobs 1 --rack-threads 2 --threads-per-cell 2"
-          " --allow-oversubscribe",
-          "--rack-threads 65536 --threads-per-cell 65536"}) {
-        const Json threaded = runRackCli(extra);
-        ASSERT_NE(threaded.get("results"), nullptr) << extra;
-        EXPECT_EQ(threaded.get("config")->get("jobs")->asUint(), 1u)
-            << extra;
-        EXPECT_GT(threaded.get("config")->get("rackThreads")->asUint(),
-                  1u)
-            << extra;
-        EXPECT_EQ(threaded.get("results")->dump(2), want) << extra;
+    // The in-cell thread tiers are library settings
+    // (SystemConfig::intraThreads, RackConfig::rackThreads), not
+    // flags: their old spellings are unknown options.
+    for (const std::string flag :
+         {"--threads-per-cell 2", "--rack-threads 2",
+          "--allow-oversubscribe"}) {
+        const std::string name = flag.substr(0, flag.find(' '));
+        const std::string err = cliError(flag);
+        EXPECT_NE(err.find("unknown option '" + name + "'"),
+                  std::string::npos)
+            << flag << ": " << err;
     }
+}
+
+TEST(ToleoSimBinary, DefaultJobsIsOnePerHardwareThread)
+{
+    const std::string out =
+        ::testing::TempDir() + "/toleo_sim_default_jobs.json";
+    const std::string cmd =
+        std::string("\"") + TOLEO_SIM_BIN +
+        "\" --workloads bsw --engines Toleo --cores 2 --warmup 500"
+        " --measure 2000 --quiet --out \"" + out + "\"";
+    ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+
+    std::ifstream in(out);
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::string err;
+    const Json doc = Json::parse(text.str(), &err);
+    ASSERT_TRUE(err.empty()) << err;
+    ASSERT_TRUE(doc.has("config"));
+    EXPECT_EQ(doc.get("config")->get("jobs")->asUint(),
+              std::max(1u, std::thread::hardware_concurrency()));
+    std::remove(out.c_str());
 }
 
 #endif // TOLEO_SIM_BIN

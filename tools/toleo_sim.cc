@@ -74,21 +74,10 @@ usage(const char *argv0)
         "  --cores N         simulated cores per cell (default: 8)\n"
         "  --warmup N        warmup references per core (default: 30000)\n"
         "  --measure N       measured references per core (default: 60000)\n"
-        "  --jobs N          cross-cell worker threads; 0 (and the\n"
-        "                    default) = auto-detect: hardware threads\n"
-        "                    divided by --rack-threads x\n"
-        "                    --threads-per-cell\n"
-        "  --threads-per-cell N\n"
-        "                    private-phase threads inside every cell's\n"
-        "                    System(s) (default: 1); statistics are\n"
-        "                    bit-identical for any value.  Composes\n"
-        "                    multiplicatively with --jobs, and the\n"
-        "                    product is checked against the host's\n"
-        "                    hardware threads\n"
-        "  --allow-oversubscribe\n"
-        "                    run anyway when an explicit --jobs x\n"
-        "                    --rack-threads x --threads-per-cell\n"
-        "                    oversubscribes the host\n"
+        "  --jobs N          worker threads, each running whole cells;\n"
+        "                    0 (and the default) = one per hardware\n"
+        "                    thread.  Statistics are bit-identical for\n"
+        "                    any value\n"
         "  --seed N          simulation seed (default: 42)\n"
         "  --rack N          simulate every cell as an N-node rack\n"
         "                    sharing one Toleo device (node i seeds\n"
@@ -99,15 +88,6 @@ usage(const char *argv0)
         "  --rack-service G  shared-device service bandwidth in GB/s\n"
         "                    (default: 0 = auto, 1.5x the node link;\n"
         "                    needs --rack N > 1)\n"
-        "  --rack-threads N  worker threads for the node-private half\n"
-        "                    of each rack epoch (default: 1 = the\n"
-        "                    serial node loop; needs --rack N > 1);\n"
-        "                    the device/arbiter replay stays serial in\n"
-        "                    node order, so statistics are\n"
-        "                    bit-identical for any value.  Composes\n"
-        "                    multiplicatively with --jobs and\n"
-        "                    --threads-per-cell under the same\n"
-        "                    host-thread budget check\n"
         "  --arrival SPEC    request arrival model: 'closed' (the\n"
         "                    classic replay, default), 'poisson:RATE'\n"
         "                    or 'burst:RATE,CV' with RATE in requests\n"
@@ -187,7 +167,6 @@ parseArgs(int argc, char **argv)
     std::string workloads = "bsw";
     std::string engines = "all";
     bool sloSet = false;
-    bool allowOversubscribe = false;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -207,24 +186,12 @@ parseArgs(int argc, char **argv)
                 fatal("--measure must be positive");
         } else if (!std::strcmp(arg, "--jobs")) {
             sweep.jobs = parseUnsigned(arg, nextArg(argc, argv, i));
-        } else if (!std::strcmp(arg, "--threads-per-cell")) {
-            sweep.intraThreads =
-                parseUnsigned(arg, nextArg(argc, argv, i));
-            if (sweep.intraThreads == 0)
-                fatal("--threads-per-cell must be positive");
-        } else if (!std::strcmp(arg, "--allow-oversubscribe")) {
-            allowOversubscribe = true;
         } else if (!std::strcmp(arg, "--seed")) {
             sweep.seed = parseUint(arg, nextArg(argc, argv, i));
         } else if (!std::strcmp(arg, "--rack")) {
             sweep.rackNodes = parseUnsigned(arg, nextArg(argc, argv, i));
             if (sweep.rackNodes == 0)
                 fatal("--rack must be positive");
-        } else if (!std::strcmp(arg, "--rack-threads")) {
-            sweep.rackThreads =
-                parseUnsigned(arg, nextArg(argc, argv, i));
-            if (sweep.rackThreads == 0)
-                fatal("--rack-threads must be positive");
         } else if (!std::strcmp(arg, "--rack-service")) {
             const char *text = nextArg(argc, argv, i);
             char *end = nullptr;
@@ -289,14 +256,12 @@ parseArgs(int argc, char **argv)
         parseWorkloadList(workloads);
     spec.cells = makeSweepGrid(workloadList, parseEngineList(engines));
 
-    // The rack knobs mean nothing for a single node; a silent no-op
+    // --rack-service means nothing for a single node; a silent no-op
     // would report single-node numbers as if they were the rack's.
     const bool rack = spec.rack();
-    if (!rack && (sweep.rackThreads > 1 || sweep.rackServiceGBps > 0.0))
-        fatal("%s configures a rack cell; it requires --rack N with "
-              "N > 1",
-              sweep.rackThreads > 1 ? "--rack-threads"
-                                    : "--rack-service");
+    if (!rack && sweep.rackServiceGBps > 0.0)
+        fatal("--rack-service configures a rack cell; it requires "
+              "--rack N with N > 1");
 
     // Fail an under-provisioned explicit service bandwidth here, in
     // milliseconds, instead of letting every cell throw the same
@@ -321,31 +286,10 @@ parseArgs(int argc, char **argv)
         fatal("--slo-us sets the open-loop SLO threshold; it requires "
               "--arrival poisson:<rate> or burst:<rate>,<cv>");
 
-    // Thread budget, in 64 bits: each rack worker drives one node's
-    // private phase and each node's System may itself pool, so a
-    // cell runs up to rackThreads x intraThreads threads.  Auto
-    // --jobs divides the host's hardware threads across them, so the
-    // default never oversubscribes.  hardware_concurrency() may
-    // return 0 (unknown); treat that as 1 and skip the guard.
-    const unsigned hw = std::thread::hardware_concurrency();
-    const std::uint64_t perCell =
-        std::uint64_t{sweep.rackThreads} * sweep.intraThreads;
-    if (sweep.jobs == 0) {
-        sweep.jobs = static_cast<unsigned>(
-            std::max<std::uint64_t>(1, (hw ? hw : 1) / perCell));
-    } else if (perCell > 1 && hw != 0 && sweep.jobs > hw / perCell &&
-               !allowOversubscribe) {
-        // jobs > hw / perCell is jobs x perCell > hw without the
-        // product, which can overflow even 64 bits.  An explicit
-        // combination that oversubscribes the host thrashes silently
-        // (every pool thinks it owns the machine).  Plain --jobs N >
-        // hw stays legal: the check guards the multiplicative knobs.
-        fatal("--jobs %u x --rack-threads %u x --threads-per-cell %u "
-              "oversubscribes this host's %u hardware threads; lower "
-              "one, let --jobs auto-detect (omit it or pass 0), or "
-              "pass --allow-oversubscribe",
-              sweep.jobs, sweep.rackThreads, sweep.intraThreads, hw);
-    }
+    // Auto --jobs: one worker per hardware thread.
+    // hardware_concurrency() returns 0 when it cannot tell.
+    if (sweep.jobs == 0)
+        sweep.jobs = std::max(1u, std::thread::hardware_concurrency());
 
     // A capture holds one workload's synthetic streams on one node;
     // every engine of that workload draws the same streams.
@@ -376,7 +320,6 @@ emitJson(const RunSpec &spec, const std::vector<SimStats> &results,
     cfg["measureRefs"] = spec.sweep.measureRefs;
     cfg["seed"] = spec.sweep.seed;
     cfg["jobs"] = spec.sweep.jobs;
-    cfg["threadsPerCell"] = spec.sweep.intraThreads;
     cfg["cells"] = static_cast<std::uint64_t>(spec.cells.size());
     doc["config"] = std::move(cfg);
 
@@ -400,13 +343,11 @@ emitRackJson(const RunSpec &spec, const std::vector<RackStats> &results,
 
     Json cfg = Json::object();
     cfg["rackNodes"] = spec.sweep.rackNodes;
-    cfg["rackThreads"] = spec.sweep.rackThreads;
     cfg["cores"] = spec.sweep.cores;
     cfg["warmupRefs"] = spec.sweep.warmupRefs;
     cfg["measureRefs"] = spec.sweep.measureRefs;
     cfg["seed"] = spec.sweep.seed;
     cfg["jobs"] = spec.sweep.jobs;
-    cfg["threadsPerCell"] = spec.sweep.intraThreads;
     cfg["cells"] = static_cast<std::uint64_t>(spec.cells.size());
     doc["config"] = std::move(cfg);
 
